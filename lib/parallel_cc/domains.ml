@@ -17,8 +17,13 @@ type result = {
   wall_seconds : float;
 }
 
+(* Monotonic wall-clock seconds.  [Sys.time] would be process CPU time,
+   summed over every domain. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* A bounded pool of worker domains processing thunks FCFS — the analog
-   of the workstation pool. *)
+   of the workstation pool.  A task that raises does not take its worker
+   down: the pool keeps the first exception for the master to re-raise. *)
 module Pool = struct
   type task = Task of (unit -> unit) | Stop
 
@@ -26,8 +31,14 @@ module Pool = struct
     queue : task Queue.t;
     mutex : Mutex.t;
     nonempty : Condition.t;
-    domains : unit Domain.t list;
+    mutable failure : (exn * Printexc.raw_backtrace) option; (* the first *)
+    mutable domains : unit Domain.t list;
   }
+
+  let record_failure pool e bt =
+    Mutex.lock pool.mutex;
+    if pool.failure = None then pool.failure <- Some (e, bt);
+    Mutex.unlock pool.mutex
 
   let worker pool () =
     let rec loop () =
@@ -44,22 +55,25 @@ module Pool = struct
       match task with
       | Stop -> ()
       | Task f ->
-        f ();
+        (try f () with e -> record_failure pool e (Printexc.get_raw_backtrace ()));
         loop ()
     in
     loop ()
 
-  let rec create n =
+  let create n =
     let pool =
       {
         queue = Queue.create ();
         mutex = Mutex.create ();
         nonempty = Condition.create ();
+        failure = None;
         domains = [];
       }
     in
-    if n < 1 then create 1
-    else { pool with domains = List.init n (fun _ -> Domain.spawn (worker pool)) }
+    (* The workers share this very record: its mutable fields must not
+       be copied. *)
+    pool.domains <- List.init (max n 1) (fun _ -> Domain.spawn (worker pool));
+    pool
 
   let submit pool f =
     Mutex.lock pool.mutex;
@@ -67,6 +81,8 @@ module Pool = struct
     Condition.signal pool.nonempty;
     Mutex.unlock pool.mutex
 
+  (* The stop markers queue behind every submitted task, so this blocks
+     until all of them have finished, then joins the workers. *)
   let shutdown pool =
     Mutex.lock pool.mutex;
     List.iter (fun _ -> Queue.push Stop pool.queue) pool.domains;
@@ -77,9 +93,10 @@ end
 
 (* Compile [m] with up to [workers] function masters running as domains.
    Raises [Driver.Compile.Compile_error] on phase-1 failure, like the
-   sequential master. *)
+   sequential master, and re-raises the first exception of any function
+   master once every worker has stopped. *)
 let compile_parallel ?(workers = 4) ?(level = 2) (m : W2.Ast.modul) : result =
-  let t0 = Sys.time () in
+  let t0 = now () in
   (* Phase 1: sequential master. *)
   (match W2.Semcheck.check_module m with
   | [] -> ()
@@ -95,7 +112,6 @@ let compile_parallel ?(workers = 4) ?(level = 2) (m : W2.Ast.modul) : result =
       (fun (sec : W2.Ast.section) ->
         let funcs = Array.of_list sec.W2.Ast.funcs in
         let slots = Array.make (Array.length funcs) None in
-        let outstanding = Atomic.make (Array.length funcs) in
         let func_rets = Driver.Compile.func_rets_of sec in
         Array.iteri
           (fun i f ->
@@ -105,24 +121,18 @@ let compile_parallel ?(workers = 4) ?(level = 2) (m : W2.Ast.modul) : result =
                     ~globals:sec.W2.Ast.globals ~func_rets
                     ~section:sec.W2.Ast.sname f
                 in
-                slots.(i) <- Some mfunc;
-                Atomic.decr outstanding))
+                slots.(i) <- Some mfunc))
           funcs;
-        (sec, slots, outstanding))
+        (sec, slots))
       m.W2.Ast.sections
   in
-  (* The master waits for all section masters. *)
-  List.iter
-    (fun (_, _, outstanding) ->
-      while Atomic.get outstanding > 0 do
-        Domain.cpu_relax ()
-      done)
-    sections;
+  (* The master blocks until all section masters are done. *)
   Pool.shutdown pool;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) pool.Pool.failure;
   (* Phase 4: sequential assembly and linking. *)
   let images =
     List.map
-      (fun ((sec : W2.Ast.section), slots, _) ->
+      (fun ((sec : W2.Ast.section), slots) ->
         let mfuncs = Array.to_list slots |> List.map Option.get in
         ( sec.W2.Ast.sname,
           Warp.Link.link ~section:sec.W2.Ast.sname ~cells:sec.W2.Ast.cells mfuncs ))
@@ -131,5 +141,5 @@ let compile_parallel ?(workers = 4) ?(level = 2) (m : W2.Ast.modul) : result =
   {
     images;
     functions_compiled = W2.Ast.func_count m;
-    wall_seconds = Sys.time () -. t0;
+    wall_seconds = now () -. t0;
   }

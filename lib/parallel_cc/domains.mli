@@ -11,10 +11,15 @@
 type result = {
   images : (string * Warp.Mcode.image) list; (** per section *)
   functions_compiled : int;
-  wall_seconds : float;
+  wall_seconds : float; (** monotonic wall clock, phases 1 to 4 *)
 }
 
 val compile_parallel :
   ?workers:int -> ?level:int -> W2.Ast.modul -> result
 (** Compile with up to [workers] function masters running as domains.
-    @raise Driver.Compile.Compile_error on phase-1 failure. *)
+    The master blocks (no spinning) until every function master has
+    finished; a function master that raises neither kills its worker nor
+    strands the master.
+    @raise Driver.Compile.Compile_error on phase-1 failure.
+    @raise exn the first exception raised by any function master,
+    after all workers have stopped. *)

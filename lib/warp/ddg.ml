@@ -62,26 +62,82 @@ let hazard_delay a b : int option =
   if is_qio a && is_qio b then add 1;
   match !delays with [] -> None | ds -> Some (List.fold_left max min_int ds)
 
-(* Build the graph.  [loop] adds the wrap-around distance-1 edges. *)
+(* Candidate pairs (i, j), i < j, of a straight-line block, from
+   last-accessor tables: op j pairs with the last def of every register
+   it reads or writes, with the uses since that def of every register it
+   writes, with the last store to the array it touches, with the loads
+   since that store when it stores, and with the previous queue op.
+
+   Every other hazard pair (i, j) of delay d is path-dominated: the
+   chain of defs of the register (stores to the array, queue ops) from
+   i to j is a path of kept pairs whose delays sum to at least d —
+   output delays telescope to lat(i) - lat(k) + hops, and an anti pair
+   from a use reaches the chain through the first def after it.  So
+   heights, which add delays along paths, are unchanged; and since the
+   list scheduler waits at least one cycle per hop, so are its ready
+   sets. *)
+let straight_line_pairs (ops : Ir.instr array) =
+  let last_def = Hashtbl.create 16 and uses_since = Hashtbl.create 16 in
+  let last_store = Hashtbl.create 4 and loads_since = Hashtbl.create 4 in
+  let last_qio = ref None in
+  let since tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
+  let pairs = ref [] in
+  Array.iteri
+    (fun j op ->
+      let srcs = ref [] in
+      let add_last tbl k = Option.iter (fun i -> srcs := i :: !srcs) (Hashtbl.find_opt tbl k) in
+      let add_all tbl k = srcs := since tbl k @ !srcs in
+      List.iter (add_last last_def) (regs_use op);
+      List.iter (fun r -> add_last last_def r; add_all uses_since r) (regs_def op);
+      (match touched_array op with
+      | Some (a, `Load) ->
+        add_last last_store a;
+        Hashtbl.replace loads_since a (j :: since loads_since a)
+      | Some (a, `Store) ->
+        add_last last_store a;
+        add_all loads_since a;
+        Hashtbl.replace last_store a j;
+        Hashtbl.replace loads_since a []
+      | None -> ());
+      if is_qio op then begin
+        Option.iter (fun i -> srcs := i :: !srcs) !last_qio;
+        last_qio := Some j
+      end;
+      List.iter (fun r -> Hashtbl.replace uses_since r (j :: since uses_since r)) (regs_use op);
+      List.iter
+        (fun r ->
+          Hashtbl.replace last_def r j;
+          Hashtbl.replace uses_since r [])
+        (regs_def op);
+      List.iter (fun i -> pairs := (i, j) :: !pairs) (List.sort_uniq compare !srcs))
+    ops;
+  !pairs
+
+(* Build the graph.  Straight-line graphs keep only the candidate pairs
+   above; [loop] graphs relate every pair and add the wrap-around
+   distance-1 edges. *)
 let build ?(loop = false) (ops : Ir.instr array) : t =
   let n = Array.length ops in
   let edges = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      match hazard_delay ops.(i) ops.(j) with
-      | Some delay -> edges := { src = i; dst = j; delay; dist = 0 } :: !edges
-      | None -> ()
-    done
-  done;
-  if loop then
+  let add src dst dist =
+    match hazard_delay ops.(src) ops.(dst) with
+    | Some delay -> edges := { src; dst; delay; dist } :: !edges
+    | None -> ()
+  in
+  if not loop then List.iter (fun (i, j) -> add i j 0) (straight_line_pairs ops)
+  else begin
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        add i j 0
+      done
+    done;
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
         (* (i, iter k) happens before (j, iter k+1) for every pair. *)
-        match hazard_delay ops.(i) ops.(j) with
-        | Some delay -> edges := { src = i; dst = j; delay; dist = 1 } :: !edges
-        | None -> ()
+        add i j 1
       done
-    done;
+    done
+  end;
   let succs = Array.make n [] in
   let preds = Array.make n [] in
   List.iter

@@ -21,7 +21,18 @@ val hazard_delay : Midend.Ir.instr -> Midend.Ir.instr -> int option
     and a second operation; [None] when independent. *)
 
 val build : ?loop:bool -> Midend.Ir.instr array -> t
-(** [build ~loop:true] adds the wrapped distance-1 edges. *)
+(** [build ops] is the straight-line graph, transitively reduced: it
+    keeps only the pairs found by last-accessor tables (last def and
+    uses since it per register, last store and loads since it per
+    array, the previous queue op), and each kept edge carries the exact
+    {!hazard_delay} of its pair.  Every dropped hazard pair is
+    path-dominated — some kept path between the two ops has at least
+    its delay — so {!heights} and list-scheduling readiness match the
+    complete graph.  Built in one pass over the ops.
+
+    [build ~loop:true] is complete: every forward pair at distance 0
+    plus the wrapped distance-1 edges, O(n{^2}).  The modulo scheduler
+    needs every pair and prices its probes by the edge count. *)
 
 val heights : t -> int array
 (** Critical-path height over distance-0 edges — the scheduling

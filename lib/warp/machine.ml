@@ -80,3 +80,8 @@ let latency (instr : Midend.Ir.instr) : int =
   | Midend.Ir.Store _ -> 1
   | Midend.Ir.Send _ | Midend.Ir.Recv _ -> 1
   | Midend.Ir.Call _ -> invalid_arg "Machine.latency: calls are control flow"
+
+(* The largest [latency] (fsqrt).  Every hazard delay is bounded by it,
+   which is what lets the verifier stop scanning a block once two
+   operations are this many cycles apart. *)
+let max_latency = 15

@@ -36,3 +36,7 @@ val fu_of : Midend.Ir.instr -> fu
 val latency : Midend.Ir.instr -> int
 (** Cycles from issue to write-back: ALU 1 (imul 4, idiv/imod 12),
     FALU 5, FMUL 5 (fdiv 12, fsqrt 15), load 3, store 1, queue ops 1. *)
+
+val max_latency : int
+(** The largest {!latency} of any operation: 15 (fsqrt).  No hazard
+    delay between two operations exceeds it. *)

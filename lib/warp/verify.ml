@@ -82,13 +82,24 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
      Flat-emitted pipelined blocks interleave loop iterations, so the
      per-iteration delays do not apply pairwise; for them only
      well-definedness is checked: no two writes to one register may
-     land on the same cycle. *)
+     land on the same cycle.
+
+     [ops] is in cycle order, and no hazard delay exceeds
+     [Machine.max_latency] (true: the writer's latency; output:
+     lat(a) - lat(b) + 1 <= lat(a); anti, memory and queue: at most 1),
+     so once cj >= ci + max_latency no later j can violate a delay or
+     share i's cycle.  The scan stops there: with one op per unit per
+     cycle that is at most 5 * max_latency pairs per op, so O(n) per
+     block instead of O(n^2), with the same violations in the same
+     order. *)
   let ops = Array.of_list (List.rev !timed) in
   let n = Array.length ops in
   if not b.Mcode.mb_pipelined then
     for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let ci, oi = ops.(i) and cj, oj = ops.(j) in
+      let ci, oi = ops.(i) in
+      let j = ref (i + 1) in
+      while !j < n && fst ops.(!j) < ci + Machine.max_latency do
+        let cj, oj = ops.(!j) in
         if ci = cj then begin
           let fwd = Ddg.hazard_delay oi oj in
           let bwd = Ddg.hazard_delay oj oi in
@@ -100,7 +111,7 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
                  (Midend.Ir.instr_to_string oi)
                  (Midend.Ir.instr_to_string oj))
         end
-        else
+        else begin
           match Ddg.hazard_delay oi oj with
           | Some d when cj < ci + d ->
             out
@@ -108,6 +119,8 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
                  "dependence violated: %s @%d -> %s @%d needs delay %d"
                  (Midend.Ir.instr_to_string oi) ci (Midend.Ir.instr_to_string oj) cj d)
           | Some _ | None -> ()
+        end;
+        incr j
       done
     done
   else begin

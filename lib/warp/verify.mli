@@ -6,7 +6,12 @@
     arrays, in-range branch targets — and dependence legality of every
     non-pipelined block's schedule (hazard pairs separated by their
     delays).  Flat-emitted pipelined blocks interleave iterations, so
-    they are checked for write-back well-definedness instead. *)
+    they are checked for write-back well-definedness instead.
+
+    No hazard delay exceeds {!Machine.max_latency}, so the dependence
+    check pairs each op only with the ops issued fewer than that many
+    cycles after it: linear in block length, and reporting exactly what
+    an all-pairs scan would. *)
 
 type violation = { v_func : string; v_block : int; v_message : string }
 

@@ -319,12 +319,29 @@ let test_domains_equivalent () =
     Alcotest.(check (float 1e-9)) "same value" expected v
   | _ -> Alcotest.fail "domain-compiled image failed"
 
+(* A function master that raises must surface as an exception from the
+   master, not leave it waiting on a dead worker.  More parameters than
+   allocatable registers make register allocation raise after phase 1
+   has accepted the module. *)
+let test_domains_task_failure_raises () =
+  let params = List.init (Warp.Machine.num_allocatable + 1) (Printf.sprintf "p%d: int") in
+  let source =
+    Printf.sprintf
+      "module m\n  section s cells 1\n  function ok(x: int) : int\n  begin\n    return x + 1;\n  end\n  function wide(%s) : int\n  begin\n    return p0;\n  end\n  end\nend\n"
+      (String.concat ", " params)
+  in
+  let m = W2.Parser.module_of_string source in
+  match Domains.compile_parallel ~workers:2 m with
+  | _ -> Alcotest.fail "compile succeeded"
+  | exception Warp.Regalloc.Too_many_params name -> Alcotest.(check string) "failing function" "wide" name
+
 let extension_suites =
   [
     ( "parallel.extensions",
       [
         Alcotest.test_case "inlining study" `Slow test_inlining_study;
         Alcotest.test_case "domains equivalence" `Slow test_domains_equivalent;
+        Alcotest.test_case "domains task failure raises" `Quick test_domains_task_failure_raises;
       ] );
   ]
 

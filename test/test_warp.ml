@@ -122,6 +122,80 @@ let test_listsched_pads_latency () =
   let s = Warp.Listsched.run ops in
   Alcotest.(check int) "padded to write-back" 5 (Array.length s.Warp.Listsched.code)
 
+(* Differential oracle: the incremental scheduler on the reduced graph
+   against the cycle-rescan scheduler on the complete graph
+   (Ref_sched).  Random straight-line blocks over [regs] registers, two
+   arrays and both queues, with latencies from 1 to 15, exercise every
+   hazard kind. *)
+let gen_block ~regs (size : int QCheck.Gen.t) : Ir.instr array QCheck.Gen.t =
+  let open QCheck.Gen in
+  let reg = int_bound (regs - 1) in
+  let operand = frequency [ (4, map (fun r -> Ir.Reg r) reg); (1, map (fun k -> Ir.Imm_int k) small_nat) ] in
+  let arr = oneofl [ "a"; "b" ] in
+  let chan = oneofl [ W2.Ast.Chan_x; W2.Ast.Chan_y ] in
+  let bin o = map3 (fun d x y -> Ir.Bin (o, d, x, y)) reg operand operand in
+  let un o = map2 (fun d x -> Ir.Un (o, d, x)) reg operand in
+  let instr =
+    frequency
+      [
+        (3, bin Ir.Iadd);
+        (1, bin Ir.Imul);
+        (1, bin Ir.Idiv);
+        (1, bin (Ir.Icmp Ir.Clt));
+        (2, bin Ir.Fadd);
+        (1, bin Ir.Fmul);
+        (1, bin Ir.Fdiv);
+        (1, un Ir.Fsqrt);
+        (1, un Ir.Itof);
+        (2, map2 (fun d x -> Ir.Mov (d, x)) reg operand);
+        (1, map3 (fun d c (x, y) -> Ir.Sel (d, c, x, y)) reg operand (pair operand operand));
+        (2, map3 (fun d a i -> Ir.Load (d, a, i)) reg arr operand);
+        (2, map3 (fun a i v -> Ir.Store (a, i, v)) arr operand operand);
+        (1, map2 (fun c v -> Ir.Send (c, v)) chan operand);
+        (1, map2 (fun c d -> Ir.Recv (c, d)) chan reg);
+      ]
+  in
+  array_size size instr
+
+let block_to_string ops =
+  String.concat "; " (Array.to_list (Array.map Ir.instr_to_string ops))
+
+(* Why [ops] schedules differently from the reference, if it does. *)
+let listsched_mismatch ops =
+  let fast = Warp.Listsched.run ops and slow = Ref_sched.listsched ops in
+  let reduced = Warp.Ddg.build ops and full = Ref_sched.ddg ops in
+  let delays = Hashtbl.create 1024 in
+  List.iter (fun (e : Warp.Ddg.edge) -> Hashtbl.replace delays (e.src, e.dst) e.delay) full.Warp.Ddg.edges;
+  let exact (e : Warp.Ddg.edge) = Hashtbl.find_opt delays (e.src, e.dst) = Some e.delay in
+  if fast.Warp.Listsched.issue <> slow.Warp.Listsched.issue then Some "issue cycles differ"
+  else if fast.Warp.Listsched.attempts <> slow.Warp.Listsched.attempts then Some "attempts differ"
+  else if fast.Warp.Listsched.code <> slow.Warp.Listsched.code then Some "code differs"
+  else if Warp.Ddg.heights reduced <> Warp.Ddg.heights full then Some "heights differ"
+  else if not (List.for_all exact reduced.Warp.Ddg.edges) then Some "a kept edge is not exact"
+  else None
+
+(* Six registers make most pairs of ops hazards. *)
+let prop_listsched_matches_reference =
+  QCheck.Test.make ~name:"matches the cycle-rescan reference (random blocks)" ~count:500
+    (QCheck.make ~print:block_to_string (gen_block ~regs:6 (QCheck.Gen.int_bound 60)))
+    (fun ops ->
+      match listsched_mismatch ops with
+      | None -> true
+      | Some why -> QCheck.Test.fail_report why)
+
+(* One block at the 2000-op envelope.  It draws on the whole register
+   window, as allocated code does: with the property's six registers
+   the complete graph has ~800k edges and the reference scheduler takes
+   half a minute. *)
+let test_listsched_long_block () =
+  let ops =
+    QCheck.Gen.generate1 ~rand:(Random.State.make [| 12 |])
+      (gen_block ~regs:Warp.Machine.num_regs (QCheck.Gen.return 2000))
+  in
+  match listsched_mismatch ops with
+  | None -> ()
+  | Some why -> Alcotest.fail why
+
 (* --- modulo scheduler --- *)
 
 let test_modsched_res_mii () =
@@ -600,6 +674,8 @@ let suites =
         Alcotest.test_case "parallel issue" `Quick test_listsched_parallel_issue;
         Alcotest.test_case "fu conflict" `Quick test_listsched_fu_conflict;
         Alcotest.test_case "write-back padding" `Quick test_listsched_pads_latency;
+        QCheck_alcotest.to_alcotest prop_listsched_matches_reference;
+        Alcotest.test_case "2000-op block matches the reference" `Slow test_listsched_long_block;
       ] );
     ( "warp.modsched",
       [
@@ -722,6 +798,162 @@ let test_verify_rejects_undeclared_array () =
        (fun v -> Tutil.contains (Warp.Verify.violation_to_string v) "phantom")
        (Warp.Verify.image broken))
 
+(* The verifier's window rests on this bound: a latency above
+   [max_latency] must fail here rather than silently narrow the
+   dependence check. *)
+let test_max_latency_bounds_hazards () =
+  (* Every op kind, each reading and writing r0 so every hazard kind
+     applies between any two of them. *)
+  let r = Ir.Reg 0 in
+  let binops =
+    Ir.[ Iadd; Isub; Imul; Idiv; Imod; Fadd; Fsub; Fmul; Fdiv; Band; Bor; Imin; Imax; Fmin; Fmax ]
+    @ List.concat_map (fun c -> Ir.[ Icmp c; Fcmp c ]) Ir.[ Ceq; Cne; Clt; Cle; Cgt; Cge ]
+  in
+  let unops = Ir.[ Ineg; Fneg; Bnot; Itof; Ftoi; Fsqrt; Fabs; Iabs ] in
+  let ops =
+    List.map (fun o -> Ir.Bin (o, 0, r, r)) binops
+    @ List.map (fun o -> Ir.Un (o, 0, r)) unops
+    @ Ir.
+        [
+          Mov (0, r);
+          Sel (0, r, r, r);
+          Load (0, "a", r);
+          Store ("a", r, r);
+          Send (W2.Ast.Chan_x, r);
+          Recv (W2.Ast.Chan_x, 0);
+        ]
+  in
+  let max_lat = Warp.Machine.max_latency in
+  List.iter
+    (fun op ->
+      if Warp.Machine.latency op > max_lat then
+        Alcotest.failf "%s: latency %d > max_latency %d" (Ir.instr_to_string op)
+          (Warp.Machine.latency op) max_lat)
+    ops;
+  Alcotest.(check bool) "max_latency is attained" true
+    (List.exists (fun op -> Warp.Machine.latency op = max_lat) ops);
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          match Warp.Ddg.hazard_delay a b with
+          | Some d when d > max_lat ->
+            Alcotest.failf "%s -> %s: delay %d > max_latency %d" (Ir.instr_to_string a)
+              (Ir.instr_to_string b) d max_lat
+          | Some _ | None -> ())
+        ops)
+    ops
+
+(* Differential oracle for the verifier's cycle window: on compiled
+   images and on copies whose wide instructions were shuffled or
+   swapped, the dependence violations match the exhaustive pair loop
+   (Ref_sched), in order. *)
+let scramble_wides rand (image : Warp.Mcode.image) : Warp.Mcode.image =
+  let mode = Random.State.int rand 3 in
+  let scramble (b : Warp.Mcode.mblock) =
+    let code = Array.copy b.Warp.Mcode.code in
+    let n = Array.length code in
+    let swap i k =
+      let w = code.(i) in
+      code.(i) <- code.(k);
+      code.(k) <- w
+    in
+    (if n >= 2 then
+       match mode with
+       | 0 ->
+         for i = n - 1 downto 1 do
+           swap i (Random.State.int rand (i + 1))
+         done
+       | 1 -> swap (Random.State.int rand n) (Random.State.int rand n)
+       | _ ->
+         let i = Random.State.int rand (n - 1) in
+         swap i (i + 1));
+    { b with Warp.Mcode.code }
+  in
+  {
+    image with
+    Warp.Mcode.funcs =
+      Array.map
+        (fun (mf : Warp.Mcode.mfunc) ->
+          { mf with Warp.Mcode.mblocks = Array.map scramble mf.Warp.Mcode.mblocks })
+        image.Warp.Mcode.funcs;
+  }
+
+let test_verify_matches_reference () =
+  let from_examples =
+    List.concat_map
+      (fun path ->
+        let source = In_channel.with_open_bin path In_channel.input_all in
+        List.concat_map
+          (fun level ->
+            match Driver.Compile.compile_source ~level ~file:path source with
+            | mw -> List.map (fun sw -> sw.Driver.Compile.sw_image) mw.Driver.Compile.mw_sections
+            | exception Driver.Compile.Compile_error _ -> [])
+          [ 0; 2 ])
+      (Test_irverify.example_files ())
+  in
+  let from_sizes =
+    List.concat_map
+      (fun size ->
+        let m = W2.Gen.module_of_function (W2.Gen.sized_function ~name:"b" size) in
+        List.map (fun level -> compile ~level m) [ 0; 2 ])
+      [ W2.Gen.Tiny; W2.Gen.Small; W2.Gen.Medium; W2.Gen.Large ]
+  in
+  (* A shuffle cannot break the few independent ops of the smallest
+     images (the lint fixtures). *)
+  let images =
+    List.filter (fun img -> Warp.Mcode.image_wide_count img >= 20) (from_examples @ from_sizes)
+  in
+  let rand = Random.State.make [| 7 |] in
+  let checked = ref 0 and invalid = ref 0 in
+  List.iter
+    (fun image ->
+      List.iter
+        (fun img ->
+          let violations = Warp.Verify.image img in
+          let windowed = List.filter Ref_sched.is_dependence_violation violations in
+          let exhaustive = Ref_sched.dependence_violations img in
+          if windowed <> exhaustive then
+            Alcotest.failf "%s: windowed verifier reports %d dependence violations, exhaustive %d"
+              img.Warp.Mcode.img_section (List.length windowed) (List.length exhaustive);
+          incr checked;
+          if exhaustive <> [] then incr invalid)
+        (image :: List.init 15 (fun _ -> scramble_wides rand image)))
+    images;
+  Alcotest.(check bool)
+    (Printf.sprintf "most of %d images have dependence violations (%d)" !checked !invalid)
+    true
+    (!invalid * 2 > !checked)
+
+(* Function-length envelope of phase 3: a 2000-line function compiles,
+   verifies and runs correctly at -O0 (one long straight-line block per
+   loop body) and -O2.  Near-linear list scheduling, DDG construction
+   and verification keep this to seconds; CI runs it under a timeout so
+   a return to super-linear phase 3 fails. *)
+let test_envelope_2000_lines () =
+  let m = W2.Gen.module_of_function (W2.Gen.benchmark_function ~name:"bench" ~lines:2000) in
+  let expected =
+    match
+      W2.Interp.run_function ~fuel:50_000_000 (List.hd m.W2.Ast.sections) ~name:"bench"
+        ~args:[ W2.Interp.Vint 9; W2.Interp.Vint 2 ]
+    with
+    | Some (W2.Interp.Vfloat v) -> vf v
+    | _ -> Alcotest.fail "reference failed"
+  in
+  List.iter
+    (fun level ->
+      let image = compile ~level m in
+      (match Warp.Verify.image image with
+      | [] -> ()
+      | v :: _ -> Alcotest.failf "-O%d: %s" level (Warp.Verify.violation_to_string v));
+      match Warp.Cellsim.run ~fuel:500_000_000 image ~name:"bench" ~args:[ vi 9; vi 2 ] with
+      | Some v, _ when values_close v expected -> ()
+      | Some v, _ ->
+        Alcotest.failf "-O%d: %s <> %s" level (Ir_interp.value_to_string v)
+          (Ir_interp.value_to_string expected)
+      | None, _ -> Alcotest.failf "-O%d: no result" level)
+    [ 0; 2 ]
+
 let verify_suites =
   [
     ( "warp.verify",
@@ -730,7 +962,10 @@ let verify_suites =
         Alcotest.test_case "accepts spilled code" `Quick test_verify_accepts_spilled_and_called_code;
         Alcotest.test_case "rejects bad register" `Quick test_verify_rejects_bad_register;
         Alcotest.test_case "rejects undeclared array" `Quick test_verify_rejects_undeclared_array;
+        Alcotest.test_case "max_latency bounds every hazard" `Quick test_max_latency_bounds_hazards;
+        Alcotest.test_case "window matches exhaustive pairs" `Slow test_verify_matches_reference;
       ] );
+    ("warp.envelope", [ Alcotest.test_case "2000-line function" `Slow test_envelope_2000_lines ]);
   ]
 
 let suites = suites @ verify_suites
