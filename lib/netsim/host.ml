@@ -49,6 +49,10 @@ let memory_pressure ws = ws.resident_mb /. ws.mem_mb
 let add_resident ws mb = ws.resident_mb <- ws.resident_mb +. mb
 let remove_resident ws mb = ws.resident_mb <- max 0.0 (ws.resident_mb -. mb)
 
+let set_resident ws mb =
+  remove_resident ws ws.resident_mb;
+  add_resident ws mb
+
 let crashed ws ~now =
   if now >= ws.crash_at then
     Some { Fault.failed_station = ws.ws_id; failed_at = ws.crash_at }

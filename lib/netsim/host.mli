@@ -34,6 +34,9 @@ val memory_pressure : workstation -> float
 val add_resident : workstation -> float -> unit
 val remove_resident : workstation -> float -> unit
 
+val set_resident : workstation -> float -> unit
+(** Replace the station's resident set. *)
+
 val crashed : workstation -> now:float -> Fault.failure option
 (** [Some failure] when the station's crash time has passed — used by
     fault-aware callers after network operations. *)

@@ -9,62 +9,24 @@
     of exactly the edited function and its transitive [func_deps]
     dependents, and changed keys simply miss.
 
-    This module is bookkeeping only.  The simulated costs of consulting
-    and populating the store are charged by {!Parrun}/{!Seqrun} through
-    {!Netsim.Net} at the simulated moment they occur; nothing here
-    touches the event schedule, so a configuration whose
+    The store itself is bookkeeping only.  {!lookup} and {!publish}
+    are the protocol {!Parrun} and {!Seqrun} share to consult and
+    populate it: they charge the simulated index and artifact transfers
+    through {!Netsim.Net} at the simulated moment they occur, and with
+    no store they charge nothing, so a configuration whose
     {!Config.t.cache} is [None] is bit-identical to a build without the
     cache. *)
-
-type entry = { e_bytes : float  (** artifact payload bytes on the server *) }
-
-type lookup =
-  | Hit of entry  (** the key is durable: skip phase 2/3, transfer the
-                      artifact (free when the station's local byte
-                      cache already holds it — {!Netsim.Net.cached}) *)
-  | Miss of { stale : bool }
-      (** no durable artifact under this key.  [stale] means the same
-          function previously published a {e different} key — a
-          dependency-aware invalidation (the function or an ancestor
-          was edited), counted separately from cold misses *)
 
 type t
 
 val create : unit -> t
 (** An empty store. *)
 
-val meta_bytes : float
-(** Bytes of one content-index record: fetched (on top of the payload)
-    by a remote hit, written (on top of the payload copy) by each
-    population. *)
-
-val owner : modul:string -> section:string -> func:string -> string
-(** The stable identity of a function across edits — what attributes a
-    miss to invalidation rather than cold start. *)
-
-val artifact_bytes : Driver.Compile.func_work -> float
-(** Payload size of one function's phase-2/3 artifact: its code in wide
-    instructions, 16 bytes each — the same accounting the runners use
-    for output write-back. *)
-
-val find : t -> owner:string -> key:string -> lookup
-(** Consult the index.  Pure bookkeeping: callers charge the simulated
-    lookup/transfer costs themselves. *)
-
-val populate : t -> owner:string -> key:string -> bytes:float -> bool
-(** Publish a durable artifact under [key], recording [owner] as its
-    publisher.  Returns [false] (and stores nothing) when the key is
-    already durable, so the per-key store count stays at one; callers
-    must only invoke this from a durable publication site (winning
-    write-back, speculative commit, sequential fallback) — never for a
-    superseded straggler or a quarantined speculative artifact. *)
-
-val mem : t -> string -> bool
 val size : t -> int
 (** Durable artifacts currently stored. *)
 
 val store_count : t -> string -> int
-(** How many times [populate] actually stored the key — the
+(** How many times {!publish} actually stored the key — the
     exactly-once discipline makes this 0 or 1; the chaos tests assert
     it. *)
 
@@ -72,3 +34,37 @@ val entries : t -> (string * float) list
 (** (key, payload bytes) of every durable artifact, sorted by key —
     lets tests compare cold-run and warm-run artifact bytes for
     identity. *)
+
+(** {1 The runners' protocol} *)
+
+type site = {
+  store : t option;  (** [None]: every lookup misses silently, at no cost *)
+  sim : Netsim.Des.t;
+  cluster : Netsim.Host.cluster;
+  stats : Timings.stats;  (** receives the hit/miss/invalidated tallies *)
+  trace : Trace.t;
+  track : int;  (** trace track of the ["cache"] instants *)
+  task : string;  (** their ["task"] argument *)
+  modul : string;  (** module name: with the section and function
+                      names, a function's identity across edits *)
+}
+(** Where a runner consults the store: one per task (or per sequential
+    compilation). *)
+
+val lookup :
+  site -> fetch:(file:string -> float -> unit) -> Driver.Compile.func_work -> bool
+(** Look a function up by its key and count the outcome: a hit, or a
+    miss — flagged as an invalidation when the same function previously
+    published a {e different} key (it or an ancestor was edited).  On a
+    hit, [fetch ~file bytes] transfers the artifact (index record plus
+    payload, file label ["art:" ^ key]) and the result is [true]: the
+    caller skips the function's phase 2/3.  Functions without a key,
+    or a site without a store, return [false] and touch nothing. *)
+
+val publish : site -> Driver.Compile.func_work list -> unit
+(** Durable publication: store every keyed function not yet durable,
+    then charge one file-server store of the newly stored payload and
+    index bytes.  Call only where the functions' output became durable
+    (a winning write-back, a speculative commit, the sequential
+    fallback) — never for a superseded straggler or a quarantined
+    speculative artifact — so each key is stored at most once. *)

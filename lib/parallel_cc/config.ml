@@ -68,6 +68,11 @@ let effective_policy (cfg : t) : Sched.policy =
   | Sched.Dag_spec when cfg.spec_budget <= 0 -> Sched.Dag_lpt
   | p -> p
 
+(* The fine-grained split tasks hand IR between two masters and never
+   produce a whole-function artifact, so both runners bypass the store
+   at fine grain — a seq/par comparison is never half-cached. *)
+let compile_cache (cfg : t) = if cfg.fine_grained then None else cfg.cache
+
 (* Exponential backoff before re-dispatching a timed-out attempt:
    [step] counts prior re-dispatches of the task (0 for the first
    retry). *)

@@ -62,6 +62,9 @@ val effective_policy : t -> Sched.policy
     {!Sched.Dag_lpt} before any scheduling happens.  Both {!Parrun} and
     its trace oracles consult this, never [sched_policy] directly. *)
 
+val compile_cache : t -> Cache.t option
+(** The store a run consults: [cache], or [None] at fine grain. *)
+
 val backoff_delay : t -> step:int -> float
 (** Exponential backoff before re-dispatching a timed-out attempt:
     [retry_backoff_seconds × 2{^step}], where [step] counts the task's

@@ -34,14 +34,6 @@ type bucket =
       (** untraced master work: forks, per-process startups, mailbox
           hops, dispatch serialization *)
 
-val bucket_name : bucket -> string
-val bucket_order : bucket list
-(** The canonical order of the exact-sum invariant and every exporter:
-    cpu, dependence_wait, pool_wait, ether, fs, backoff, rollback,
-    master_serial. *)
-
-val bucket_names : string list
-
 type segment = {
   g_t0 : float;
   g_t1 : float;

@@ -12,31 +12,28 @@ type point = {
 
 (* --- compilation cache: measuring work is deterministic, do it once --- *)
 
+let memo tbl key compile =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = compile () in
+    Hashtbl.replace tbl key v;
+    v
+
 let cache : (string, Driver.Compile.module_work) Hashtbl.t = Hashtbl.create 32
 
 let s_program_work ?(level = 2) ~size ~count () : Driver.Compile.module_work =
   let key = Printf.sprintf "s:%s:%d:%d" (W2.Gen.size_name size) count level in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let mw = Driver.Compile.compile_module ~level (W2.Gen.s_program ~size ~count ()) in
-    Hashtbl.replace cache key mw;
-    mw
+  memo cache key (fun () ->
+      Driver.Compile.compile_module ~level (W2.Gen.s_program ~size ~count ()))
 
 let user_program_work ?(level = 2) () : Driver.Compile.module_work =
-  let key = Printf.sprintf "user:%d" level in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let mw = Driver.Compile.compile_module ~level (W2.Gen.user_program ()) in
-    Hashtbl.replace cache key mw;
-    mw
+  memo cache (Printf.sprintf "user:%d" level) (fun () ->
+      Driver.Compile.compile_module ~level (W2.Gen.user_program ()))
 
 (* --- one measurement (sequential vs parallel), repeated and averaged --- *)
 
 let repetitions = 3
-
-let average xs = Stats.mean xs
 
 let measure ?(cfg = Config.default) ?processors (mw : Driver.Compile.module_work) :
     Timings.comparison =
@@ -67,14 +64,13 @@ let measure ?(cfg = Config.default) ?processors (mw : Driver.Compile.module_work
         (seq, par))
   in
   let avg_run (projection : (Timings.run * Timings.run) -> Timings.run) =
-    let sample = projection (List.hd runs) in
+    let mean field = Stats.mean (List.map (fun r -> field (projection r)) runs) in
     {
-      sample with
-      Timings.elapsed = average (List.map (fun r -> (projection r).Timings.elapsed) runs);
-      master_cpu = average (List.map (fun r -> (projection r).Timings.master_cpu) runs);
-      section_cpu = average (List.map (fun r -> (projection r).Timings.section_cpu) runs);
-      extra_parse_cpu =
-        average (List.map (fun r -> (projection r).Timings.extra_parse_cpu) runs);
+      (projection (List.hd runs)) with
+      Timings.elapsed = mean (fun r -> r.Timings.elapsed);
+      master_cpu = mean (fun r -> r.Timings.master_cpu);
+      section_cpu = mean (fun r -> r.Timings.section_cpu);
+      extra_parse_cpu = mean (fun r -> r.Timings.extra_parse_cpu);
     }
   in
   let seq = avg_run fst and par = avg_run snd in
@@ -92,10 +88,6 @@ let size_series ?(cfg = Config.default) (size : W2.Gen.size) : point list =
       let mw = s_program_work ~level:cfg.Config.opt_level ~size ~count () in
       { n_functions = count; comparison = measure ~cfg mw })
     function_counts
-
-(* Figures 6 and 7: speedup for every size and function count. *)
-let speedup_matrix ?(cfg = Config.default) () : (W2.Gen.size * point list) list =
-  List.map (fun size -> (size, size_series ~cfg size)) W2.Gen.all_sizes
 
 (* Figures 8-10 and 14-16 reuse the size series: overheads are already
    part of each comparison. *)
@@ -199,13 +191,9 @@ let make_modules ?(level = 2) () : Driver.Compile.module_work list =
   List.map
     (fun (size, count, tag) ->
       let key = Printf.sprintf "make:%s:%d:%d" (W2.Gen.size_name size) count level in
-      match Hashtbl.find_opt cache key with
-      | Some mw -> mw
-      | None ->
-        let m = W2.Gen.s_program ~name:tag ~size ~count () in
-        let mw = Driver.Compile.compile_module ~level m in
-        Hashtbl.replace cache key mw;
-        mw)
+      memo cache key (fun () ->
+          Driver.Compile.compile_module ~level
+            (W2.Gen.s_program ~name:tag ~size ~count ())))
     [
       (W2.Gen.Medium, 3, "libA");
       (W2.Gen.Small, 4, "libB");
@@ -393,13 +381,8 @@ let module_licensed (t : Analysis.Depan.t) =
   if pairs = 0.0 then 1.0 else licensed /. pairs
 
 let helper_program_work ?(level = 2) () : Driver.Compile.module_work =
-  let key = Printf.sprintf "helpers:%d" level in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let mw = Driver.Compile.compile_module ~level (W2.Gen.helper_program ()) in
-    Hashtbl.replace cache key mw;
-    mw
+  memo cache (Printf.sprintf "helpers:%d" level) (fun () ->
+      Driver.Compile.compile_module ~level (W2.Gen.helper_program ()))
 
 (* Three regimes for the dependence-aware policies: an edge-free S_n
    (the DAG is a no-op and must cost nothing), the helper program
@@ -483,6 +466,10 @@ type absint_point = {
          dispatched out of order.  Soundness means this is always 0 *)
 }
 
+(* The partitioned lattice, the histogram and the dead-channel program
+   (each with refutable couplings) plus the 4-driver helper program as
+   a no-op witness (all of its edges are inline/signature edges, which
+   the refinement never touches). *)
 let absint_series () =
   [
     ("partitioned", fun () -> W2.Gen.partitioned_program ());
@@ -495,16 +482,9 @@ let absint_series () =
 
 let absint_program_work ?(level = 2) ~absint ~name (make : unit -> W2.Ast.modul)
     : Driver.Compile.module_work =
-  let key = Printf.sprintf "absint:%s:%d:%b" name level absint in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let mw =
+  memo cache (Printf.sprintf "absint:%s:%d:%b" name level absint) (fun () ->
       Driver.Compile.compile_source ~level ~absint
-        (W2.Pretty.module_to_string (make ()))
-    in
-    Hashtbl.replace cache key mw;
-    mw
+        (W2.Pretty.module_to_string (make ())))
 
 let module_pruned (t : Analysis.Depan.t) =
   List.fold_left
@@ -601,15 +581,9 @@ let spec_program_work ?(level = 2) ?max_tracked ~absint ~name
     Printf.sprintf "spec:%s:%d:%b:%d" name level absint
       (Option.value ~default:(-1) max_tracked)
   in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let mw =
+  memo cache key (fun () ->
       Driver.Compile.compile_source ~level ?max_tracked ~absint
-        (W2.Pretty.module_to_string (make ()))
-    in
-    Hashtbl.replace cache key mw;
-    mw
+        (W2.Pretty.module_to_string (make ())))
 
 (* Each program is played under dag+lpt (every dependence edge gated)
    and dag+spec (speculative edges overlapped under the commit
@@ -826,14 +800,10 @@ let cache_program_work ?(level = 2) ~name ?edit (make : unit -> W2.Ast.modul) :
     Printf.sprintf "cachebench:%s:%d:%s" name level
       (Option.value ~default:"" edit)
   in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let m = make () in
-    let m = match edit with None -> m | Some f -> W2.Gen.touch_in m f in
-    let mw = Driver.Compile.compile_module ~level m in
-    Hashtbl.replace cache key mw;
-    mw
+  memo cache key (fun () ->
+      let m = make () in
+      let m = match edit with None -> m | Some f -> W2.Gen.touch_in m f in
+      Driver.Compile.compile_module ~level m)
 
 (* Cold, warm and one-edit runs against a single store, dag+lpt on a
    small pool.  The cold run populates (every lookup misses), the warm
@@ -978,17 +948,12 @@ let link_program_work ?(level = 2) ~shape ~modules () :
   let key =
     Printf.sprintf "link:%s:%d:%d" (W2.Gen.shape_name shape) modules level
   in
-  match Hashtbl.find_opt link_cache key with
-  | Some r -> r
-  | None ->
-    let mods = W2.Gen.project_program ~modules ~seed:1 ~shape () in
-    let link = Analysis.Modan.compose (link_summaries mods) in
-    let merged = Analysis.Modan.inline_project mods in
-    let mw =
-      Driver.Compile.compile_source ~level (W2.Pretty.module_to_string merged)
-    in
-    Hashtbl.replace link_cache key (mw, link);
-    (mw, link)
+  memo link_cache key (fun () ->
+      let mods = W2.Gen.project_program ~modules ~seed:1 ~shape () in
+      let link = Analysis.Modan.compose (link_summaries mods) in
+      let merged = Analysis.Modan.inline_project mods in
+      ( Driver.Compile.compile_source ~level (W2.Pretty.module_to_string merged),
+        link ))
 
 (* The project plan: one master per function over the inlined program,
    with the whole-program DAG replaced by the composed one.  The

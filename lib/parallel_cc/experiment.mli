@@ -15,9 +15,6 @@ val s_program_work :
 
 val user_program_work : ?level:int -> unit -> Driver.Compile.module_work
 
-val repetitions : int
-(** Measurements averaged per point (3). *)
-
 val measure :
   ?cfg:Config.t -> ?processors:int -> Driver.Compile.module_work ->
   Timings.comparison
@@ -31,9 +28,6 @@ val function_counts : int list
 
 val size_series : ?cfg:Config.t -> W2.Gen.size -> point list
 (** Figures 3-5/12-13 (times) and the rows of 6-10/14-16. *)
-
-val speedup_matrix : ?cfg:Config.t -> unit -> (W2.Gen.size * point list) list
-(** Figures 6 and 7. *)
 
 val user_program : ?cfg:Config.t -> unit -> point list
 (** Figure 11: 2, 3, 5 and 9 processors on the section-4.3 program. *)
@@ -65,10 +59,9 @@ val run_inlining_study : ?cfg:Config.t -> unit -> inlining_study
 
 (** {1 Section 3.4: parallel make coexistence} *)
 
-val make_modules : ?level:int -> unit -> Driver.Compile.module_work list
-(** A mixed 4-module "system" (independent makefile targets). *)
-
 val run_make_study : ?cfg:Config.t -> ?stations:int -> unit -> Makerun.result list
+(** Every strategy on a mixed 4-module "system" (independent makefile
+    targets). *)
 
 (** {1 Section 5: finer-grain parallelism} *)
 
@@ -94,14 +87,11 @@ type fault_point = {
   fp_wasted_cpu : float;
 }
 
-val fault_rates : float list
-(** 0, 0.25, 0.5, 1.0. *)
-
 val fault_sweep :
   ?cfg:Config.t -> ?size:W2.Gen.size -> ?count:int -> unit -> fault_point list
 (** Elapsed-time inflation, recovery work and wasted CPU of the
     parallel compiler on 2/4/8/16-station pools as the fault rate
-    grows; seeded, so the series is reproducible. *)
+    grows (0, 0.25, 0.5, 1.0); seeded, so the series is reproducible. *)
 
 (** {1 Scheduling policies} *)
 
@@ -115,15 +105,11 @@ type sched_point = {
       (** FCFS elapsed / this elapsed on the same point (1.0 for FCFS) *)
 }
 
-val sched_series :
-  ?level:int -> unit -> (string * Driver.Compile.module_work * int) list
-(** The sweep's (name, module, pool) points: tiny/small/large/huge S_n
-    programs and the user program on pools smaller than the task count,
-    the regime where scheduling order and batching can matter. *)
-
 val sched_sweep : ?cfg:Config.t -> unit -> sched_point list
-(** Every {!sched_series} point under every {!Sched.policy}, with
-    [cfg]'s batch threshold; seeded (noise seed 3), so reproducible. *)
+(** Tiny/small/large/huge S_n programs and the user program on pools
+    smaller than the task count, the regime where scheduling order and
+    batching can matter, under every {!Sched.policy} with [cfg]'s batch
+    threshold; seeded (noise seed 3), so reproducible. *)
 
 (** {1 Dependence-aware dispatch} *)
 
@@ -142,15 +128,11 @@ val helper_program_work : ?level:int -> unit -> Driver.Compile.module_work
 (** The section-5.1 helper program (cached) — the sweep's coupled
     module: its call graph becomes inline_of dependence edges. *)
 
-val dag_series :
-  ?level:int -> unit -> (string * Driver.Compile.module_work * int) list
-(** (name, module, pool) points spanning licensed fractions: edge-free
-    S_8 programs (DAG dispatch must be free), the helper program, and
-    the user program. *)
-
 val dag_sweep : ?cfg:Config.t -> unit -> dag_point list
-(** Every {!dag_series} point under FCFS and both {!Sched.dag_policies};
-    seeded (noise seed 3), so reproducible.  On the edge-free points the
+(** Points spanning licensed fractions — edge-free S_8 programs (DAG
+    dispatch must be free), the helper program, and the user program —
+    under FCFS and both {!Sched.dag_policies}; seeded (noise seed 3), so
+    reproducible.  On the edge-free points the
     [dag] rows reproduce the FCFS elapsed times bit for bit. *)
 
 (** {1 Section 6: scaling limit} *)
@@ -180,12 +162,6 @@ type absint_point = {
           soundness of the refutations means this is always 0 *)
 }
 
-val absint_series : unit -> (string * (unit -> W2.Ast.modul)) list
-(** The sweep's programs: the partitioned lattice, the histogram and
-    the dead-channel program (each with refutable couplings) plus the
-    4-driver helper program as a no-op witness (all of its edges are
-    inline/signature edges, which the refinement never touches). *)
-
 val absint_sweep : ?cfg:Config.t -> ?pool:int -> unit -> absint_point list
 (** Each program compiled with the refinement off and on, both DAGs
     played under dag+lpt on a [pool]-station cluster (default 4) with
@@ -209,14 +185,6 @@ type spec_point = {
           trace; the commit protocol's soundness means this is 0 *)
 }
 
-val spec_series :
-  unit -> (string * (unit -> W2.Ast.modul) * int option * bool * int) list
-(** The sweep's (name, program, max_tracked, absint, pool) points: two
-    "blinded" programs — dynamically independent but compiled with the
-    refinement off and the tracking cap below their write fan-out, so
-    every pair is pinned by [summary_limit] — plus the deliberately
-    racy scatter program whose conflicts are real. *)
-
 val spec_program_work :
   ?level:int ->
   ?max_tracked:int ->
@@ -228,12 +196,15 @@ val spec_program_work :
     analysis, [max_tracked] and [absint] included). *)
 
 val spec_sweep : ?cfg:Config.t -> unit -> spec_point list
-(** Each program played under dag+lpt and dag+spec on a pool matching
-    its width, traced, with the speculation-aware race oracle armed;
-    seeded (noise seed 3), so reproducible.  On the blinded points
-    every speculation commits and dag+spec beats dag+lpt; on the racy
-    point attempts roll back and the run still terminates with every
-    task written back exactly once. *)
+(** Two "blinded" programs — dynamically independent but compiled with
+    the refinement off and the tracking cap below their write fan-out,
+    so every pair is pinned by [summary_limit] — plus the deliberately
+    racy scatter program whose conflicts are real, each played under
+    dag+lpt and dag+spec on a pool matching its width, traced, with the
+    speculation-aware race oracle armed; seeded (noise seed 3), so
+    reproducible.  On the blinded points every speculation commits and
+    dag+spec beats dag+lpt; on the racy point attempts roll back and the
+    run still terminates with every task written back exactly once. *)
 
 (** {1 Critical-path profile sweep} *)
 
@@ -243,23 +214,17 @@ type profile_point = {
   fp_pool : int;
   fp_elapsed : float;
   fp_buckets : (string * float) list;
-      (** {!Critpath.bucket_names} order; folds to [fp_elapsed] exactly *)
+      (** in the order of {!Critpath.profile}'s [p_buckets]; folds to
+          [fp_elapsed] exactly *)
   fp_dominant : string; (** largest bucket — the bottleneck regime *)
   fp_segments : int;
 }
 
-val profile_series :
-  ?level:int -> unit -> (string * Driver.Compile.module_work) list
-(** Three bottleneck regimes: the overhead-dominated tiny S_8, the
-    dependence-coupled helper program, and the speculation-exercising
-    blinded program. *)
-
-val profile_pools : int list
-val profile_policies : Sched.policy list
-
 val profile_sweep : ?cfg:Config.t -> unit -> profile_point list
-(** Every {!profile_series} program, one master per function, on each
-    pool size under each policy, traced and profiled with
+(** Three bottleneck regimes — the overhead-dominated tiny S_8, the
+    dependence-coupled helper program, and the speculation-exercising
+    blinded program — one master per function, on pools of 2, 4 and 8
+    under FCFS, dag+lpt and dag+spec, traced and profiled with
     {!Critpath.of_trace} ({!Critpath.assert_exact} armed); seeded
     (noise seed 3), so reproducible.  Shrinking the pool below the task
     count shifts the dominant bucket from compute/overhead toward
@@ -347,16 +312,6 @@ type link_sched_point = {
           the composed DAG's superset property means this is 0 *)
 }
 
-val link_compose_sizes : int list
-(** 100, 200, 400 modules — the summary-space composition axis. *)
-
-val link_sched_sizes : int list
-(** 24, 48 modules — the end-to-end project-scheduling axis. *)
-
-val link_pool : int
-(** Stations available to function masters in the scheduling sweep
-    (8). *)
-
 val link_summaries :
   W2.Ast.modul list -> Analysis.Modan.module_summary list
 (** Separately summarize each module (accumulating provider summaries
@@ -365,7 +320,7 @@ val link_summaries :
     separate build persists. *)
 
 val link_compose_sweep : unit -> link_compose_point list
-(** Every {!W2.Gen.shape} at every {!link_compose_sizes} count,
+(** Every {!W2.Gen.shape} at 100, 200 and 400 modules,
     composed from summaries alone — no source text or AST crosses the
     module boundary after summarization.  Deterministic (seed 1). *)
 
@@ -387,7 +342,7 @@ val link_plan :
     speculates past (so hot ⊆ spec is preserved). *)
 
 val link_sched_sweep : ?cfg:Config.t -> unit -> link_sched_point list
-(** Every shape at every {!link_sched_sizes} count played under FCFS,
-    dag+lpt and dag+spec on a {!link_pool}-station pool, traced, with
-    the race oracle armed on the DAG-gated policies; seeded (noise
-    seed 3), so reproducible. *)
+(** Every shape at 24 and 48 modules played under FCFS, dag+lpt and
+    dag+spec on an 8-station pool, traced, with the race oracle armed
+    on the DAG-gated policies; seeded (noise seed 3), so
+    reproducible. *)

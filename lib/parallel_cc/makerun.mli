@@ -17,11 +17,7 @@ type result = {
   stations_used : int;
 }
 
-val run :
-  Config.t -> stations:int -> Driver.Compile.module_work list -> strategy -> result
-(** Build the module list on one fresh [stations]-sized cluster under
-    the given strategy. *)
-
 val run_all :
   Config.t -> stations:int -> Driver.Compile.module_work list -> result list
-(** All four strategies, in declaration order. *)
+(** Build the module list under all four strategies, in declaration
+    order, each on a fresh [stations]-sized cluster. *)

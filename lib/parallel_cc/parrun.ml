@@ -14,88 +14,31 @@
                    functions, then output write-back.
 
    The only communication is parent<->child messages (modelled by join
-   counters), as in the paper.
+   counters and mailboxes), as in the paper.
 
-   Scheduling.  Before the section masters fork, the plan passes
-   through [Sched.schedule]: [Config.sched_policy] selects the paper's
-   FCFS dispatch (plan physically unchanged, timings bit-identical),
-   LPT ordering, or LPT with tiny-function batching.  On a retry under
-   a non-FCFS policy, re-dispatch is locality-aware: the claim prefers
-   a pool station that already holds the module's source bytes or the
-   core image (the Ethernet's transfer history), and the granted
-   station skips re-downloading whatever it holds.
-
-   With [Config.fine_grained] set, each task is split into a phase-2
-   task and a phase-3 task connected by an IR file on the server (the
-   "finer grain parallelism" the paper's section 5 anticipates): the
-   phase-2 master releases its workstation before the phase-3 master
-   claims one, so stages of different tasks pipeline through a small
-   pool — at the price of a second Lisp startup and the IR shipping.
-
-   Fault tolerance.  When the configuration carries a fault plan, each
-   task runs under a supervisor: the section master gives every attempt
-   a deadline (Config.deadline_factor times the cost-model estimate),
-   detects crashes ([Fault.Station_failed] from the attempt) and
-   timeouts (a watchdog process), and re-dispatches the task FCFS to
-   another pool station with exponential backoff, up to
-   [Config.retry_budget] times.  Write-back is idempotent: a
-   [completed] token makes the first finishing attempt win; stragglers
-   only add to the wasted-CPU account.  When the budget is exhausted
-   the task degrades to a sequential compile in the master's own Lisp
-   (whose workstation is never faulted), so every compilation
-   terminates with the same output — only slower.  With an empty fault
-   plan the legacy unsupervised code path runs, preserving today's
-   event schedule (and therefore timings) bit for bit. *)
-
-let set_resident = Seqrun.set_resident
+   Every task runs one state machine — claim → fetch → compute → stage
+   → commit | abort → publish — whose steps are the functions below:
+   [station_stage], [function_master], the execution [stage],
+   [write_back], the commit protocol of [run_attempt], and [complete],
+   the one durable completion (winning attempt, speculative commit or
+   [fallback]).  What varies is a value the machine consumes: the stage
+   (coarse grain, or the fine grain the paper's section 5 anticipates)
+   and the supervisor.  Without one — no fault plan, no speculation —
+   the single attempt runs inline in the task's process, the fault-free
+   event schedule.  With one, the section master adds deadlines, crash
+   and timeout detection, re-dispatch with exponential backoff up to
+   [Config.retry_budget], and the sequential fallback in the master's
+   own Lisp, so every compilation terminates with the same output —
+   only slower. *)
 
 type outcome = {
   run : Timings.run;
   station_of_task : (string * int) list; (* task head function -> station *)
 }
 
-type stats = {
-  mutable master_cpu : float;
-  mutable section_cpu : float;
-  mutable extra_parse_cpu : float;
-  mutable placements : (string * int) list;
-  mutable dispatch_units : int;
-  mutable retries : int;
-  mutable fallback_tasks : int;
-  mutable wasted_cpu : float;
-  mutable spec_dispatched : int;
-  mutable spec_committed : int;
-  mutable spec_rolled_back : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_invalidated : int;
-}
-
-let fresh_stats () =
-  {
-    master_cpu = 0.0;
-    section_cpu = 0.0;
-    extra_parse_cpu = 0.0;
-    placements = [];
-    dispatch_units = 0;
-    retries = 0;
-    fallback_tasks = 0;
-    wasted_cpu = 0.0;
-    spec_dispatched = 0;
-    spec_committed = 0;
-    spec_rolled_back = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_invalidated = 0;
-  }
-
 (* A function-master attempt lost its station.  Raised and caught
    within the same simulated process — it never escapes the DES. *)
 exception Lost of Netsim.Fault.failure
-
-let check = function
-  | Netsim.Fault.Completed -> ()
-  | Netsim.Fault.Station_failed f -> raise (Lost f)
 
 (* Supervision messages; attempt-numbered so a supervisor can ignore
    verdicts about attempts it has already given up on.  [Msg_aborted]
@@ -112,24 +55,524 @@ type sup_msg =
    the staged payload itself was already charged at staging time. *)
 let spec_meta_bytes = 256.0
 
-(* The master process body; spawnable so that several modules can be
-   compiled concurrently on one cluster (the parallel-make study). *)
-let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
-    ~salt (mw : Driver.Compile.module_work) (plan : Plan.t) ~(stats : stats)
-    ~on_finish () =
-  let cost = cfg.Config.cost in
-  (* Apply the dispatch policy.  A pure plan-to-plan transformation:
-     [Sched.Fcfs] (the default) returns the plan physically unchanged,
-     so the event schedule below is bit-identical to the unscheduled
-     compiler.  Applied here rather than in [run] so the parallel-make
-     study (which spawns master processes directly) is scheduled
-     too. *)
-  let policy = Config.effective_policy cfg in
-  let plan =
-    Sched.schedule ~static:cfg.Config.static_cost ~policy ~cost
-      ~threshold:cfg.Config.batch_threshold ~stations:cfg.Config.stations plan
+(* Fetches identify the client station and a file label so the
+   Ethernet keeps a transfer history ([Net.cached]); recording is
+   bookkeeping only, but the locality-aware re-dispatch reads it back
+   on retries. *)
+let core_file = "core"
+
+(* What every task of one master process shares. *)
+type master = {
+  cfg : Config.t;
+  cost : Driver.Cost.model;
+  sim : Netsim.Des.t;
+  cluster : Netsim.Host.cluster;
+  noise : int -> float;
+  salt : int;
+  stats : Timings.stats;
+  policy : Sched.policy;
+  ws_m : Netsim.Host.workstation;
+  src_file : string;
+  stage : task -> attempt -> Netsim.Host.workstation -> Netsim.Host.workstation;
+      (* the execution stage: computes on the function master's station
+         and returns the station that writes the output back *)
+}
+
+(* One task: quantities shared by every attempt, and the lifecycle
+   state the attempts race on. *)
+and task = {
+  m : master;
+  ti : int;
+  t : Plan.task;
+  label : string;
+  head : string option;
+  tokens : int;
+  output_bytes : float;
+  completion : Netsim.Sync.event array; (* of every task in the section *)
+  spec_deps : int list;
+  hot_deps : int list;
+  sup : supervisor option;
+  cache : Cache.site;
+  mutable completed : bool; (* the completion token *)
+  mutable attempts : int;
+  mutable spec_fails : int;
+  mutable hardened : bool; (* past [Config.spec_budget]: no speculation *)
+}
+
+and supervisor = { deadline : float; mailbox : sup_msg Netsim.Sync.mailbox }
+
+(* One attempt: the placements it noted, the CPU it burned (wasted if
+   its output is lost), the speculative predecessors still incomplete
+   when it claimed its station (non-empty: it stages and the commit
+   protocol rules), and whether it has staged — a staged attempt is
+   off-station awaiting the oracle's verdict, not the watchdog's. *)
+and attempt = {
+  n : int;
+  mutable noted : (string * int) list;
+  mutable spent : float;
+  mutable t_claim : float;
+  mutable pending : int list;
+  mutable staged : bool;
+}
+
+let now m = Netsim.Des.now m.sim
+
+let fetch m ?client ?file bytes =
+  Netsim.Net.fetch ?client ?file m.sim m.cluster.Netsim.Host.fs
+    m.cluster.Netsim.Host.ether ~bytes
+
+let store m bytes =
+  Netsim.Net.store m.sim m.cluster.Netsim.Host.fs m.cluster.Netsim.Host.ether
+    ~bytes
+
+let has m w file =
+  Netsim.Net.cached m.cluster.Netsim.Host.ether ~client:w.Netsim.Host.ws_id ~file
+
+(* CPU work on [ws]; returns the (noisy) seconds charged.  Pool
+   stations are held exclusively, so for an [attempt] the busy-seconds
+   delta is exactly its CPU (partial work of a crashed slice included).
+   The master's workstation is never faulted (Host wires station 0 out
+   of the plan); a failure there is a simulation bug. *)
+let compute m ?attempt ws ~tag seconds salt' =
+  let seconds = seconds *. m.noise (m.salt + salt') in
+  let before = ws.Netsim.Host.busy_seconds in
+  let factor = Config.cluster_slowdown m.cfg m.cluster in
+  (match (attempt, Netsim.Host.compute m.sim ws ~factor ~tag ~seconds) with
+  | Some a, r -> (
+    a.spent <- a.spent +. (ws.Netsim.Host.busy_seconds -. before);
+    match r with
+    | Netsim.Fault.Completed -> ()
+    | Netsim.Fault.Station_failed f -> raise (Lost f))
+  | None, Netsim.Fault.Completed -> ()
+  | None, Netsim.Fault.Station_failed f ->
+    failwith
+      (Printf.sprintf "Parrun: master workstation %d failed at %.1fs"
+         f.Netsim.Fault.failed_station f.Netsim.Fault.failed_at));
+  seconds
+
+(* Task-lifecycle span: recorded on the executing station's track so
+   Gantt/Chrome views show the claim → write-back chain per attempt. *)
+let lspan k ~attempt_n ws ~name ~t0 =
+  let tr = k.m.cfg.Config.trace in
+  if Trace.enabled tr then
+    Trace.span tr ~track:ws.Netsim.Host.ws_id ~cat:"task" ~name
+      ~args:[ ("task", k.label); ("attempt", string_of_int attempt_n) ]
+      ~t0 ~t1:(now k.m) ()
+
+let linstant k ~attempt_n ?(extra = []) name =
+  let tr = k.m.cfg.Config.trace in
+  if Trace.enabled tr then
+    Trace.instant tr ~track:k.m.ws_m.Netsim.Host.ws_id ~cat:"task" ~name
+      ~args:(("task", k.label) :: ("attempt", string_of_int attempt_n) :: extra)
+      ~at:(now k.m) ()
+
+(* A crash is detected by [compute] during CPU work and by [alive]
+   after network operations, which do not touch the station's CPU.  On
+   the fault-free path every check is a no-op. *)
+let alive m ws =
+  match Netsim.Host.crashed ws ~now:(now m) with
+  | Some f -> raise (Lost f)
+  | None -> ()
+
+(* Locality-aware re-dispatch: on a retry under a non-FCFS policy,
+   prefer a pool station that already holds the bytes the stage needs
+   (then one holding the core image), and skip the re-download of
+   whatever the granted station has.  First attempts and the FCFS
+   policy never reach these branches, so their schedule is
+   untouched. *)
+let locality k a = a.n > 1 && k.m.policy <> Sched.Fcfs
+
+let held k a ws file =
+  let hit = locality k a && has k.m ws file in
+  if hit then
+    linstant k ~attempt_n:a.n "cache-hit"
+      ~extra:[ ("file", file); ("station", string_of_int ws.Netsim.Host.ws_id) ];
+  hit
+
+let fetch_to k ws ~file ~held bytes =
+  if not held then fetch k.m ~client:ws.Netsim.Host.ws_id ~file bytes;
+  alive k.m ws
+
+(* The station stage of a function master and of a fine-grain phase-3
+   master: claim a pool station (on a locality retry, preferably one
+   holding [file]), note the placement [head ^ suffix], run [granted],
+   then start a Lisp: download the core image (a warm station maps the
+   image it already holds: same resident set, no wire) and
+   initialize. *)
+let station_stage k a ~file ~suffix ~init_salt ~granted =
+  let m = k.m in
+  let t_claim = now m in
+  let ws =
+    if locality k a then
+      Netsim.Host.claim_prefer m.sim m.cluster ~rank:(fun w ->
+          (if has m w file then 2 else 0) + if has m w core_file then 1 else 0)
+    else Netsim.Host.claim m.sim m.cluster
   in
-  stats.dispatch_units <- stats.dispatch_units + Plan.task_count plan;
+  lspan k ~attempt_n:a.n ws ~name:"claim" ~t0:t_claim;
+  Option.iter
+    (fun h -> a.noted <- (h ^ suffix, ws.Netsim.Host.ws_id) :: a.noted)
+    k.head;
+  granted ();
+  (if m.cfg.Config.core_download && not (held k a ws core_file) then begin
+     let t0 = now m in
+     fetch m ~client:ws.Netsim.Host.ws_id ~file:core_file
+       m.cost.Driver.Cost.lisp_core_bytes;
+     lspan k ~attempt_n:a.n ws ~name:"transfer" ~t0
+   end);
+  alive m ws;
+  Netsim.Host.set_resident ws m.cost.Driver.Cost.lisp_core_mb;
+  ignore
+    (compute m ~attempt:a ws ~tag:"lisp-init"
+       m.cost.Driver.Cost.lisp_init_seconds init_salt);
+  ws
+
+(* One phase over the task's functions on [ws], under a span named
+   after it; [skip] lets the compile cache stand in for a function. *)
+let compute_phase k a ws ~phase ~seconds ~salt0 ?(skip = fun _ -> false) () =
+  let t0 = now k.m in
+  List.iteri
+    (fun fi (fw : Driver.Compile.func_work) ->
+      if not (skip fw) then begin
+        Netsim.Host.set_resident ws (Driver.Cost.function_master_mb k.m.cost fw);
+        ignore
+          (compute k.m ~attempt:a ws ~tag:phase (seconds k.m.cost fw)
+             (salt0 + (31 * k.ti) + fi))
+      end)
+    k.t.Plan.t_funcs;
+  lspan k ~attempt_n:a.n ws ~name:phase ~t0
+
+(* Ship [bytes] from [ws] to the file server, close the station's
+   span(s) from the shipping start, and hand the station back. *)
+let hand_off k ws ~bytes ~spans =
+  let t0 = now k.m in
+  store k.m bytes;
+  alive k.m ws;
+  spans t0;
+  Netsim.Host.set_resident ws 0.0;
+  Netsim.Host.release_station k.m.sim k.m.cluster ws
+
+(* The write-back/stage tail.  A speculative attempt stages into a
+   versioned buffer and releases the station immediately: the commit
+   verdict is awaited off-station, so speculation never holds a pool
+   slot hostage. *)
+let write_back k a ws =
+  let lspan = lspan k ~attempt_n:a.n ws in
+  hand_off k ws ~bytes:k.output_bytes ~spans:(fun t0 ->
+      if a.pending = [] then lspan ~name:"write-back" ~t0
+      else begin
+        lspan ~name:"stage" ~t0;
+        a.staged <- true;
+        lspan ~name:"spec-attempt" ~t0:a.t_claim
+      end)
+
+(* Coarse grain: each function is first looked up in the compile
+   cache; a hit transfers the memoized artifact — free when this
+   station's byte cache still holds it — instead of computing. *)
+let coarse_stage k a ws =
+  let fetch ~file = fetch_to k ws ~file ~held:(has k.m ws file) in
+  compute_phase k a ws ~phase:"phase23" ~seconds:Driver.Cost.phase23_seconds
+    ~salt0:300 ~skip:(Cache.lookup k.cache ~fetch) ();
+  ws
+
+(* Fine grain: phase 2 here, then hand the IR to a phase-3 master on a
+   (possibly different) pool station — on a locality retry, preferably
+   one that held this task's IR. *)
+let fine_stage k a ws =
+  compute_phase k a ws ~phase:"phase2" ~seconds:Driver.Cost.phase2_seconds
+    ~salt0:300 ();
+  let ir_bytes =
+    List.fold_left
+      (fun acc fw -> acc +. Driver.Cost.ir_bytes fw)
+      0.0 k.t.Plan.t_funcs
+  in
+  hand_off k ws ~bytes:ir_bytes ~spans:(fun t0 ->
+      lspan k ~attempt_n:a.n ws ~name:"write-ir" ~t0);
+  let file = "ir:" ^ k.label in
+  let ws3 =
+    station_stage k a ~file ~suffix:"#p3" ~init_salt:(400 + k.ti) ~granted:ignore
+  in
+  let t_fir = now k.m in
+  fetch_to k ws3 ~file ~held:(held k a ws3 file) ir_bytes;
+  lspan k ~attempt_n:a.n ws3 ~name:"fetch-ir" ~t0:t_fir;
+  compute_phase k a ws3 ~phase:"phase3" ~seconds:Driver.Cost.phase3_seconds
+    ~salt0:500 ();
+  ws3
+
+(* The function master proper.  The speculation decision is made once
+   the station is granted: any speculative predecessor not yet durably
+   complete makes this attempt speculative — its output will be staged,
+   not written back, and the commit oracle rules at predecessor
+   write-back time.  Off dag+spec [spec_deps] is empty, so no attempt
+   ever speculates. *)
+let function_master k a ~hardened =
+  let m = k.m in
+  let speculate () =
+    if m.policy = Sched.Dag_spec && not hardened then
+      a.pending <-
+        List.filter
+          (fun d -> not (Netsim.Sync.is_set k.completion.(d)))
+          k.spec_deps;
+    if a.pending <> [] then begin
+      m.stats.spec_dispatched <- m.stats.spec_dispatched + 1;
+      linstant k ~attempt_n:a.n "spec-dispatch"
+    end
+  in
+  a.t_claim <- now m;
+  let ws =
+    station_stage k a ~file:m.src_file ~suffix:"" ~init_salt:(100 + k.ti)
+      ~granted:speculate
+  in
+  let t_parse = now m in
+  fetch_to k ws ~file:m.src_file ~held:(held k a ws m.src_file)
+    (Driver.Cost.source_bytes m.cost (Plan.task_loc k.t));
+  let reparse =
+    compute m ~attempt:a ws ~tag:"reparse"
+      (m.cost.Driver.Cost.sec_per_token *. float_of_int k.tokens)
+      (200 + k.ti)
+  in
+  lspan k ~attempt_n:a.n ws ~name:"parse" ~t0:t_parse;
+  m.stats.extra_parse_cpu <- m.stats.extra_parse_cpu +. reparse;
+  write_back k a (m.stage k a ws)
+
+(* Durable completion, shared by the winning attempt, the speculative
+   commit and the fallback: take the completion token first (so any
+   straggler counts as wasted), finish making the output durable,
+   publish the task's artifacts into the compile cache, and record the
+   placements.  Never reached by a superseded straggler or a
+   quarantined speculative artifact, so each cache key is stored at
+   most once. *)
+let complete k ~placed ?(durable = ignore) ?(after = ignore) () =
+  k.completed <- true;
+  durable ();
+  Cache.publish k.cache k.t.Plan.t_funcs;
+  after ();
+  k.m.stats.placements <- placed @ k.m.stats.placements
+
+let wasted k a =
+  k.m.stats.wasted_cpu <- k.m.stats.wasted_cpu +. a.spent;
+  linstant k ~attempt_n:a.n "wasted" ~extra:[ ("cpu", Trace.farg a.spent) ]
+
+(* The version-pointer flip that commits or quarantines a staged
+   artifact, traced on the master's track. *)
+let flip k a ~name =
+  let t0 = now k.m in
+  store k.m spec_meta_bytes;
+  lspan k ~attempt_n:a.n k.m.ws_m ~name ~t0
+
+(* One attempt from claim to verdict ([None]: a straggler whose output
+   a re-dispatch already superseded).  A speculative attempt runs the
+   commit protocol off-station.  The online race check is per involved
+   edge: a pending predecessor the attempt overlapped is a race exactly
+   when the pair really shares state (hot); cold edges are conservative
+   artifacts and commit without waiting.  On a conflict the oracle
+   rules at the predecessor's write-back time, quarantines the stale
+   staged artifact and surrenders the attempt's CPU to the wasted
+   account.  A commit takes the completion token before the pointer
+   flip yields, so the staged artifact becomes durable exactly once. *)
+let run_attempt k a =
+  let stats = k.m.stats in
+  match function_master k a ~hardened:k.hardened with
+  | exception Lost _ ->
+    linstant k ~attempt_n:a.n "attempt-lost";
+    wasted k a;
+    Some (Msg_failed a.n)
+  | () ->
+    let conflict = List.find_opt (fun d -> List.mem d k.hot_deps) a.pending in
+    Option.iter (fun d -> Netsim.Sync.await k.completion.(d)) conflict;
+    if k.completed then begin
+      wasted k a;
+      None
+    end
+    else if conflict <> None then begin
+      stats.spec_rolled_back <- stats.spec_rolled_back + 1;
+      flip k a ~name:"spec-abort";
+      wasted k a;
+      Some (Msg_aborted a.n)
+    end
+    else begin
+      complete k ~placed:a.noted
+        ~durable:(fun () ->
+          if a.pending <> [] then begin
+            stats.spec_committed <- stats.spec_committed + 1;
+            flip k a ~name:"spec-commit"
+          end)
+        ();
+      Some Msg_completed
+    end
+
+(* Start the task's next attempt.  Unsupervised, it runs inline in the
+   task's own process: an extra spawn would reorder events at equal
+   times.  Supervised, it is a process of its own, under a watchdog
+   that presumes it lost if it has not reported by the deadline. *)
+let launch k =
+  k.attempts <- k.attempts + 1;
+  let a =
+    {
+      n = k.attempts;
+      noted = [];
+      spent = 0.0;
+      t_claim = 0.0;
+      pending = [];
+      staged = false;
+    }
+  in
+  match k.sup with
+  | None -> ignore (run_attempt k a)
+  | Some s ->
+    Netsim.Des.spawn k.m.sim (fun () ->
+        Netsim.Des.delay s.deadline;
+        if (not k.completed) && not a.staged then begin
+          linstant k ~attempt_n:a.n "timeout";
+          Netsim.Sync.send s.mailbox (Msg_timed_out a.n)
+        end);
+    Netsim.Des.spawn k.m.sim (fun () ->
+        Option.iter (Netsim.Sync.send s.mailbox) (run_attempt k a))
+
+(* Budget exhausted: compile the task in the master's Lisp, which
+   already holds the parsed module — the sequential degradation
+   rung. *)
+let fallback k =
+  let m = k.m in
+  let t_fb = now m in
+  complete k
+    ~placed:(List.map (fun h -> (h, m.ws_m.Netsim.Host.ws_id)) (Option.to_list k.head))
+    ~durable:(fun () ->
+      m.stats.fallback_tasks <- m.stats.fallback_tasks + 1;
+      List.iteri
+        (fun fi (fw : Driver.Compile.func_work) ->
+          let mb =
+            m.cost.Driver.Cost.data_mb_per_loc
+            *. float_of_int fw.Driver.Compile.fw_loc
+          in
+          Netsim.Host.add_resident m.ws_m mb;
+          ignore
+            (compute m m.ws_m ~tag:"fallback-phase23"
+               (Driver.Cost.phase23_seconds m.cost fw)
+               (600 + (31 * k.ti) + fi));
+          Netsim.Host.remove_resident m.ws_m mb)
+        k.t.Plan.t_funcs;
+      store m k.output_bytes)
+    ~after:(fun () ->
+      lspan k ~attempt_n:(k.attempts + 1) m.ws_m ~name:"fallback" ~t0:t_fb)
+    ()
+
+(* The section master's supervision of one task; returns once the
+   task's output is durable. *)
+let supervise k s =
+  let cfg = k.m.cfg in
+  let rec await budget =
+    match Netsim.Sync.recv s.mailbox with
+    | Msg_completed -> ()
+    | (Msg_failed n | Msg_timed_out n) when n = k.attempts && not k.completed ->
+      if budget > 0 then begin
+        let step = cfg.Config.retry_budget - budget in
+        Netsim.Des.delay (Config.backoff_delay cfg ~step);
+        (* A straggler may have finished during the backoff; its
+           Msg_completed is queued. *)
+        if not k.completed then begin
+          k.m.stats.retries <- k.m.stats.retries + 1;
+          linstant k ~attempt_n:(k.attempts + 1) "retry";
+          launch k;
+          await (budget - 1)
+        end
+      end
+      else fallback k
+    | Msg_aborted n when n = k.attempts && not k.completed ->
+      (* Misspeculation.  The conflicting predecessor just wrote back
+         durably, so an immediate relaunch cannot re-conflict on it: no
+         backoff, and the retry budget (which pays for faults, not
+         oracle verdicts) is untouched.  Past the speculation budget
+         the task hardens: further launches gate on every erstwhile
+         speculative edge, which is the dag+lpt discipline for this
+         task. *)
+      k.spec_fails <- k.spec_fails + 1;
+      if k.spec_fails >= cfg.Config.spec_budget then begin
+        k.hardened <- true;
+        List.iter (fun d -> Netsim.Sync.await k.completion.(d)) k.spec_deps
+      end;
+      launch k;
+      await budget
+    | Msg_failed _ | Msg_timed_out _ | Msg_aborted _ ->
+      (* Stale attempt, or the task completed since this verdict was
+         posted. *)
+      await budget
+  in
+  await cfg.Config.retry_budget
+
+let make_task m mw ~ti (t : Plan.task) ~completion ~spec_deps ~hot_deps =
+  let cost = m.cost in
+  let cfg = m.cfg in
+  let sum f = List.fold_left (fun acc fw -> acc + f fw) 0 t.Plan.t_funcs in
+  let head = Plan.task_head t in
+  let label = Option.value head ~default:"<empty>" in
+  let tokens = sum (fun fw -> fw.Driver.Compile.fw_tokens) in
+  (* Speculation needs the supervisor even on a fault-free host:
+     aborted attempts re-dispatch through it. *)
+  let sup =
+    if Netsim.Fault.is_none cfg.Config.faults && m.policy <> Sched.Dag_spec
+    then None
+    else
+      let work_estimate =
+        cost.Driver.Cost.lisp_init_seconds
+        +. (cost.Driver.Cost.sec_per_token *. float_of_int tokens)
+        +. Driver.Cost.task_phase23_seconds cost t.Plan.t_funcs
+        +. (if cfg.Config.fine_grained then cost.Driver.Cost.lisp_init_seconds
+            else 0.0)
+        +. 60.0 (* grace for downloads and queueing *)
+      in
+      Some
+        {
+          deadline = cfg.Config.deadline_factor *. work_estimate;
+          mailbox = Netsim.Sync.mailbox ();
+        }
+  in
+  {
+    m;
+    ti;
+    t;
+    label;
+    head;
+    tokens;
+    (* Write-back: code, fixed framing, and the rendered diagnostics the
+       section master will combine. *)
+    output_bytes =
+      (16.0 *. float_of_int (sum (fun fw -> fw.Driver.Compile.fw_wides)))
+      +. cost.Driver.Cost.diagnostic_bytes
+      +. Driver.Cost.task_diag_bytes t.Plan.t_funcs;
+    completion;
+    spec_deps;
+    hot_deps;
+    sup;
+    cache =
+      {
+        Cache.store = Config.compile_cache cfg;
+        sim = m.sim;
+        cluster = m.cluster;
+        stats = m.stats;
+        trace = cfg.Config.trace;
+        track = m.ws_m.Netsim.Host.ws_id;
+        task = label;
+        modul = mw.Driver.Compile.mw_name;
+      };
+    completed = false;
+    attempts = 0;
+    spec_fails = 0;
+    hardened = false;
+  }
+
+(* One section master: interpret the placement directives, fork one
+   task per plan entry, and combine the results once all are
+   durable. *)
+let section_master m mw (plan : Plan.t) si (section_name, tasks) ~sections_done () =
+  let cost = m.cost in
+  let n_tasks = List.length tasks in
+  (* Section masters are C processes on the master's host. *)
+  Netsim.Des.delay cost.Driver.Cost.c_process_seconds;
+  let interpret =
+    compute m m.ws_m ~tag:"sect-interpret" (0.05 *. float_of_int n_tasks) (20 + si)
+  in
+  m.stats.section_cpu <- m.stats.section_cpu +. interpret;
+  let tasks_done = Netsim.Sync.join n_tasks in
   (* Under a DAG policy each task gets a one-shot completion event;
      dependent tasks await their predecessors' events before claiming
      a station.  Everything is a no-op for edge-free sections (and for
@@ -137,758 +580,151 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
      an already-set event never suspends and setting an event nobody
      awaits schedules nothing, so the event schedule is untouched.
 
-     Under [Dag_spec] only the PROVEN edges gate; attempts dispatched
-     past speculative edges stage their write-back and run the commit
-     protocol below.  Speculation needs the supervisor even on a
-     fault-free host (aborted attempts re-dispatch through it). *)
-  let gated = Sched.dag_gated policy in
-  let spec_mode = policy = Sched.Dag_spec in
-  let supervised =
-    (not (Netsim.Fault.is_none cfg.Config.faults)) || spec_mode
+     [deps] gates dispatch.  Under [Dag_spec] only the proven edges
+     gate; the speculative remainder ([spec_deps]) is checked by the
+     commit protocol instead, and its hot subset ([hot_deps]) — pairs
+     the uncapped analysis proves really share state — is what forces
+     an abort. *)
+  let spec_mode = m.policy = Sched.Dag_spec in
+  let task_deps func_deps =
+    Sched.task_deps ~func_deps ~section:section_name tasks
   in
-  let tr = cfg.Config.trace in
-  let ether = cluster.Netsim.Host.ether in
-  (* Fetches identify the client station and a file label so the
-     Ethernet keeps a transfer history ([Net.cached]); recording is
-     bookkeeping only, but the locality-aware re-dispatch below reads
-     it back on retries. *)
-  let fetch ?client ?file bytes =
-    Netsim.Net.fetch ?client ?file sim cluster.Netsim.Host.fs ether ~bytes
+  let none = Array.make n_tasks [] in
+  let deps =
+    if Sched.dag_gated m.policy then
+      task_deps (if spec_mode then Plan.proven_deps plan else plan.Plan.func_deps)
+    else none
   in
-  let store bytes =
-    Netsim.Net.store sim cluster.Netsim.Host.fs ether ~bytes
+  let spec_deps, hot_deps =
+    if spec_mode then
+      ( Array.mapi
+          (fun i full -> List.filter (fun d -> not (List.mem d deps.(i))) full)
+          (task_deps plan.Plan.func_deps),
+        task_deps plan.Plan.hot_edges )
+    else (none, none)
   in
-  (* The content-addressed compile cache, when one is configured —
-     coarse grain only: the fine-grained split tasks hand IR between
-     two masters and never produce a whole-function artifact, so they
-     bypass the store.  [None] makes every lookup and publication below
-     evaporate, leaving the event schedule bit-identical to a cacheless
-     build. *)
-  let cache =
-    match cfg.Config.cache with
-    | Some c when not cfg.Config.fine_grained -> Some c
-    | _ -> None
-  in
-  (* File labels of the shared Lisp core image and this module's
-     source. *)
-  let core_file = "core" in
-  let src_file = "src:" ^ mw.Driver.Compile.mw_name in
-  let ws_m = Netsim.Host.claim sim cluster in
-  let factor w = Config.cluster_slowdown cfg cluster w in
-  (* The master's workstation is never faulted (Host wires station 0
-     out of the plan); anything else is a simulation bug. *)
-  let must = function
-    | Netsim.Fault.Completed -> ()
-    | Netsim.Fault.Station_failed f ->
+  let completion = Array.init n_tasks (fun _ -> Netsim.Sync.event ()) in
+  List.iteri
+    (fun ti task ->
+      (* Remote process creation is serialized in the forking parent
+         (rsh-style), a real cost of UNIX process hierarchies the paper
+         complains about. *)
+      Netsim.Des.delay cost.Driver.Cost.fm_fork_seconds;
+      let k =
+        make_task m mw ~ti task ~completion ~spec_deps:spec_deps.(ti)
+          ~hot_deps:hot_deps.(ti)
+      in
+      Netsim.Des.spawn m.sim (fun () ->
+          (* Dependence gating happens inside the spawned process, so
+             the section master keeps forking the rest of its queue
+             while a gated task parks. *)
+          List.iter (fun d -> Netsim.Sync.await completion.(d)) deps.(ti);
+          launch k;
+          Option.iter (supervise k) k.sup;
+          (* The task's output is durable only here, so the completion
+             event fires exactly once per task, after the write that
+             dependents are allowed to read. *)
+          Netsim.Sync.set completion.(ti);
+          Netsim.Sync.signal tasks_done))
+    tasks;
+  Netsim.Sync.wait tasks_done;
+  (* Combine per-function results and diagnostics. *)
+  let sections = mw.Driver.Compile.mw_sections in
+  let sw =
+    match
+      List.find_opt
+        (fun (s : Driver.Compile.section_work) ->
+          s.Driver.Compile.sw_name = section_name)
+        sections
+    with
+    | Some sw -> sw
+    | None ->
       failwith
-        (Printf.sprintf "Parrun: master workstation %d failed at %.1fs"
-           f.Netsim.Fault.failed_station f.Netsim.Fault.failed_at)
+        (Printf.sprintf "Parrun: plan names section %S, but module %s only has: %s"
+           section_name mw.Driver.Compile.mw_name
+           (String.concat ", "
+              (List.map
+                 (fun (s : Driver.Compile.section_work) -> s.Driver.Compile.sw_name)
+                 sections)))
   in
-  let compute_m ?tag seconds salt' =
-    must
-      (Netsim.Host.compute sim ws_m ~factor ?tag
-         ~seconds:(seconds *. noise (salt + salt')))
+  let combine =
+    compute m m.ws_m ~tag:"combine" (Driver.Cost.combine_seconds sw) (40 + si)
+  in
+  m.stats.section_cpu <- m.stats.section_cpu +. combine;
+  Netsim.Sync.signal sections_done
+
+(* Apply the dispatch policy.  A pure plan-to-plan transformation:
+   [Sched.Fcfs] (the default) returns the plan physically unchanged, so
+   the event schedule is bit-identical to the unscheduled compiler.
+   Applied in [master_process] rather than in [run] so the parallel-make
+   study (which spawns master processes directly) is scheduled too; and
+   deterministic, so [run]'s race oracles re-derive exactly the task
+   queues the master dispatched. *)
+let scheduled (cfg : Config.t) plan =
+  Sched.schedule ~static:cfg.Config.static_cost
+    ~policy:(Config.effective_policy cfg) ~cost:cfg.Config.cost
+    ~threshold:cfg.Config.batch_threshold ~stations:cfg.Config.stations plan
+
+(* The master process body; spawnable so that several modules can be
+   compiled concurrently on one cluster (the parallel-make study). *)
+let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
+    ~salt (mw : Driver.Compile.module_work) (plan : Plan.t)
+    ~(stats : Timings.stats) ~on_finish () =
+  let cost = cfg.Config.cost in
+  let plan = scheduled cfg plan in
+  stats.Timings.dispatch_units <-
+    stats.Timings.dispatch_units + Plan.task_count plan;
+  let ws_m = Netsim.Host.claim sim cluster in
+  let ws_id = ws_m.Netsim.Host.ws_id in
+  let policy = Config.effective_policy cfg in
+  let stage = if cfg.Config.fine_grained then fine_stage else coarse_stage in
+  let src_file = "src:" ^ mw.Driver.Compile.mw_name in
+  let m =
+    { cfg; cost; sim; cluster; noise; salt; stats; policy; ws_m; src_file; stage }
   in
   (* C master: cheap startup, then read the source. *)
   Netsim.Des.delay cost.Driver.Cost.c_process_seconds;
-  fetch ~client:ws_m.Netsim.Host.ws_id ~file:src_file
+  fetch m ~client:ws_id ~file:src_file
     (Driver.Cost.source_bytes cost mw.Driver.Compile.mw_loc);
   (* The master's Lisp process: phase 1 proper plus the extra
      structure-discovering parse (the latter is implementation
      overhead). *)
   (if cfg.Config.core_download then
-     fetch ~client:ws_m.Netsim.Host.ws_id ~file:core_file
-       cost.Driver.Cost.lisp_core_bytes);
+     fetch m ~client:ws_id ~file:core_file cost.Driver.Cost.lisp_core_bytes);
   let ast_mb =
     cost.Driver.Cost.ast_mb_per_loc *. float_of_int mw.Driver.Compile.mw_loc
   in
-  set_resident ws_m (cost.Driver.Cost.lisp_core_mb +. ast_mb);
-  compute_m ~tag:"lisp-init" cost.Driver.Cost.lisp_init_seconds 11;
-  compute_m ~tag:"phase1" (Driver.Cost.phase1_seconds cost mw) 12;
-  let setup = Driver.Cost.setup_parse_seconds cost mw *. noise (salt + 13) in
-  must (Netsim.Host.compute sim ws_m ~factor ~tag:"setup-parse" ~seconds:setup);
-  stats.master_cpu <- stats.master_cpu +. setup;
+  Netsim.Host.set_resident ws_m (cost.Driver.Cost.lisp_core_mb +. ast_mb);
+  ignore (compute m ws_m ~tag:"lisp-init" cost.Driver.Cost.lisp_init_seconds 11);
+  ignore (compute m ws_m ~tag:"phase1" (Driver.Cost.phase1_seconds cost mw) 12);
+  let setup =
+    compute m ws_m ~tag:"setup-parse" (Driver.Cost.setup_parse_seconds cost mw) 13
+  in
+  stats.Timings.master_cpu <- stats.Timings.master_cpu +. setup;
   (* Scheduling: derive the task placement directives. *)
-  let sched = 0.1 *. float_of_int (Plan.task_count plan) *. noise (salt + 14) in
-  must (Netsim.Host.compute sim ws_m ~factor ~tag:"sched" ~seconds:sched);
-  stats.master_cpu <- stats.master_cpu +. sched;
-  (* Fork the section masters. *)
+  let sched =
+    compute m ws_m ~tag:"sched" (0.1 *. float_of_int (Plan.task_count plan)) 14
+  in
+  stats.Timings.master_cpu <- stats.Timings.master_cpu +. sched;
   let sections_done = Netsim.Sync.join (List.length plan.Plan.tasks_per_section) in
   List.iteri
-    (fun si (section_name, tasks) ->
-      Netsim.Des.spawn sim (fun () ->
-          (* Section masters are C processes on the master's host. *)
-          Netsim.Des.delay cost.Driver.Cost.c_process_seconds;
-          let interpret =
-            0.05 *. float_of_int (List.length tasks) *. noise (salt + 20 + si)
-          in
-          must
-            (Netsim.Host.compute sim ws_m ~factor ~tag:"sect-interpret"
-               ~seconds:interpret);
-          stats.section_cpu <- stats.section_cpu +. interpret;
-          let tasks_done = Netsim.Sync.join (List.length tasks) in
-          (* [deps] gates dispatch.  Under [Dag_spec] only the proven
-             edges gate; the speculative remainder ([spec_deps]) is
-             checked by the commit protocol instead, and its hot subset
-             ([hot_deps]) — pairs the uncapped analysis proves really
-             share state — is what forces an abort. *)
-          let deps =
-            if gated then
-              Sched.task_deps
-                ~func_deps:
-                  (if spec_mode then Plan.proven_deps plan
-                   else plan.Plan.func_deps)
-                ~section:section_name tasks
-            else Array.make (List.length tasks) []
-          in
-          let spec_deps, hot_deps =
-            if spec_mode then
-              ( Array.mapi
-                  (fun i full ->
-                    List.filter (fun d -> not (List.mem d deps.(i))) full)
-                  (Sched.task_deps ~func_deps:plan.Plan.func_deps
-                     ~section:section_name tasks),
-                Sched.task_deps ~func_deps:plan.Plan.hot_edges
-                  ~section:section_name tasks )
-            else
-              ( Array.make (List.length tasks) [],
-                Array.make (List.length tasks) [] )
-          in
-          let completion =
-            Array.init (List.length tasks) (fun _ -> Netsim.Sync.event ())
-          in
-          List.iteri
-            (fun ti (task : Plan.task) ->
-              (* Remote process creation is serialized in the forking
-                 parent (rsh-style), a real cost of UNIX process
-                 hierarchies the paper complains about. *)
-              Netsim.Des.delay cost.Driver.Cost.fm_fork_seconds;
-              (* Per-task quantities (pure, shared by every attempt). *)
-              let head_name =
-                match task.Plan.t_funcs with
-                | fw :: _ -> Some fw.Driver.Compile.fw_name
-                | [] -> None
-              in
-              let task_loc = Plan.task_loc task in
-              let task_tokens =
-                List.fold_left
-                  (fun acc fw -> acc + fw.Driver.Compile.fw_tokens)
-                  0 task.Plan.t_funcs
-              in
-              let out_wides =
-                List.fold_left
-                  (fun acc fw -> acc + fw.Driver.Compile.fw_wides)
-                  0 task.Plan.t_funcs
-              in
-              (* Write-back: code, fixed framing, and the rendered
-                 diagnostics the section master will combine. *)
-              let output_bytes =
-                (16.0 *. float_of_int out_wides)
-                +. cost.Driver.Cost.diagnostic_bytes
-                +. Driver.Cost.task_diag_bytes task.Plan.t_funcs
-              in
-              let task_label =
-                match head_name with Some name -> name | None -> "<empty>"
-              in
-              (* Task-lifecycle span: recorded on the executing
-                 station's track so Gantt/Chrome views show the
-                 claim → write-back chain per attempt. *)
-              let lspan ws ~name ~attempt_n ~t0 =
-                if Trace.enabled tr then
-                  Trace.span tr ~track:ws.Netsim.Host.ws_id ~cat:"task" ~name
-                    ~args:
-                      [ ("task", task_label); ("attempt", string_of_int attempt_n) ]
-                    ~t0 ~t1:(Netsim.Des.now sim) ()
-              in
-              let linstant ~name ~attempt_n ?(extra = []) () =
-                if Trace.enabled tr then
-                  Trace.instant tr ~track:ws_m.Netsim.Host.ws_id ~cat:"task"
-                    ~name
-                    ~args:
-                      (("task", task_label)
-                      :: ("attempt", string_of_int attempt_n)
-                      :: extra)
-                    ~at:(Netsim.Des.now sim) ()
-              in
-              (* Compile-cache bookkeeping for this task.  Index events
-                 live in their own "cache" category (the "cache-hit"
-                 instant under "task" above is the unrelated byte-level
-                 locality cache) and are emitted 1:1 with the counter
-                 increments, so the trace recovery stays exact. *)
-              let cache_instant ~name (fw : Driver.Compile.func_work) ~key
-                  ~extra =
-                if Trace.enabled tr then
-                  Trace.instant tr ~track:ws_m.Netsim.Host.ws_id ~cat:"cache"
-                    ~name
-                    ~args:
-                      (("task", task_label)
-                      :: ("func", fw.Driver.Compile.fw_name)
-                      :: ("key", key) :: extra)
-                    ~at:(Netsim.Des.now sim) ()
-              in
-              let cache_owner (fw : Driver.Compile.func_work) =
-                Cache.owner ~modul:mw.Driver.Compile.mw_name
-                  ~section:section_name ~func:fw.Driver.Compile.fw_name
-              in
-              (* Durable publication of this task's artifacts into the
-                 compile cache.  Called exactly where the task's output
-                 becomes durable — the unsupervised attempt's return,
-                 the winning supervised attempt, a speculative commit,
-                 the sequential fallback — and never for a superseded
-                 straggler or a quarantined speculative artifact, so
-                 each key is stored at most once.  Only newly stored
-                 artifacts cost anything: one store of payload+index
-                 bytes, alongside the durable copy already written. *)
-              let cache_publish () =
-                match cache with
-                | None -> ()
-                | Some c ->
-                  let stored =
-                    List.fold_left
-                      (fun acc (fw : Driver.Compile.func_work) ->
-                        match fw.Driver.Compile.fw_key with
-                        | None -> acc
-                        | Some key ->
-                          let bytes = Cache.artifact_bytes fw in
-                          if Cache.populate c ~owner:(cache_owner fw) ~key ~bytes
-                          then begin
-                            cache_instant ~name:"cache-store" fw ~key ~extra:[];
-                            acc +. bytes +. Cache.meta_bytes
-                          end
-                          else acc)
-                      0.0 task.Plan.t_funcs
-                  in
-                  if stored > 0.0 then store stored
-              in
-              (* --- one function-master attempt ---
-                 [note] records a placement; [spent] accumulates the
-                 CPU this attempt burned (for the wasted-work account
-                 if its output is lost).  [Lost] is raised when the
-                 attempt's station crashes (checked by [compute] during
-                 CPU work and explicitly after network operations,
-                 which do not touch the station's CPU).  On the
-                 fault-free path every check is a no-op, so the event
-                 schedule is exactly the pre-fault-tolerance one.
-
-                 [hardened] suppresses speculation for this attempt
-                 (its task exhausted [Config.spec_budget]); [staged]
-                 tells the watchdog a speculative attempt has parked
-                 its output on the server and is merely awaiting the
-                 commit verdict; [spec_pending] reports back which
-                 speculative predecessors were still incomplete when
-                 the attempt claimed its station — empty means the
-                 attempt wrote back durably, non-empty means the
-                 caller must run the commit protocol.  On every policy
-                 but dag+spec [spec_deps] is all-empty, so the pending
-                 set is always empty and none of this executes. *)
-              let attempt ~note ~spent ~attempt_n ~hardened ~staged
-                  ~spec_pending () =
-                let alive ws =
-                  match Netsim.Host.crashed ws ~now:(Netsim.Des.now sim) with
-                  | Some f -> raise (Lost f)
-                  | None -> ()
-                in
-                let lspan ws ~name ~t0 = lspan ws ~name ~attempt_n ~t0 in
-                (* Pool stations are held exclusively, so the
-                   busy-seconds delta around one compute call is
-                   exactly this attempt's CPU (partial work of a
-                   crashed slice included). *)
-                let charged w thunk =
-                  let before = w.Netsim.Host.busy_seconds in
-                  let r = thunk () in
-                  spent := !spent +. (w.Netsim.Host.busy_seconds -. before);
-                  check r
-                in
-                let compute_f ?tag w seconds salt' =
-                  charged w (fun () ->
-                      Netsim.Host.compute sim w ~factor ?tag
-                        ~seconds:(seconds *. noise (salt + salt')))
-                in
-                (* Locality-aware re-dispatch: on a retry under a
-                   non-FCFS policy, prefer a pool station that already
-                   holds this module's source bytes (then one holding
-                   the core image), and skip the re-download of
-                   whatever the granted station has.  First attempts
-                   and the FCFS policy never reach these branches, so
-                   their schedule is untouched. *)
-                let locality = attempt_n > 1 && policy <> Sched.Fcfs in
-                let has w file =
-                  Netsim.Net.cached ether ~client:w.Netsim.Host.ws_id ~file
-                in
-                let cache_hit ws file =
-                  let hit = locality && has ws file in
-                  if hit then
-                    linstant ~name:"cache-hit" ~attempt_n
-                      ~extra:[ ("file", file); ("station", string_of_int ws.Netsim.Host.ws_id) ]
-                      ();
-                  hit
-                in
-                (* --- the function master proper --- *)
-                let t_claim = Netsim.Des.now sim in
-                let ws =
-                  if locality then
-                    Netsim.Host.claim_prefer sim cluster ~rank:(fun w ->
-                        (if has w src_file then 2 else 0)
-                        + (if has w core_file then 1 else 0))
-                  else Netsim.Host.claim sim cluster
-                in
-                lspan ws ~name:"claim" ~t0:t_claim;
-                (match head_name with
-                | Some name -> note name ws.Netsim.Host.ws_id
-                | None -> ());
-                (* Speculation decision, made once the station is
-                   granted: any speculative predecessor not yet durably
-                   complete makes this attempt speculative — its output
-                   will be staged, not written back, and the commit
-                   oracle rules at predecessor write-back time. *)
-                let pending =
-                  if spec_mode && not hardened then
-                    List.filter
-                      (fun d -> not (Netsim.Sync.is_set completion.(d)))
-                      spec_deps.(ti)
-                  else []
-                in
-                spec_pending := pending;
-                let speculative = pending <> [] in
-                if speculative then begin
-                  stats.spec_dispatched <- stats.spec_dispatched + 1;
-                  linstant ~name:"spec-dispatch" ~attempt_n ()
-                end;
-                (* Lisp startup: every function master downloads the
-                   core image and initializes (a warm station maps the
-                   image it already holds: same resident set, no
-                   wire). *)
-                (if cfg.Config.core_download && not (cache_hit ws core_file)
-                 then begin
-                   let t0 = Netsim.Des.now sim in
-                   fetch ~client:ws.Netsim.Host.ws_id ~file:core_file
-                     cost.Driver.Cost.lisp_core_bytes;
-                   lspan ws ~name:"transfer" ~t0
-                 end);
-                alive ws;
-                set_resident ws cost.Driver.Cost.lisp_core_mb;
-                compute_f ~tag:"lisp-init" ws cost.Driver.Cost.lisp_init_seconds
-                  (100 + ti);
-                (* Read and re-parse its share of the source. *)
-                let t_parse = Netsim.Des.now sim in
-                (if not (cache_hit ws src_file) then
-                   fetch ~client:ws.Netsim.Host.ws_id ~file:src_file
-                     (Driver.Cost.source_bytes cost task_loc));
-                alive ws;
-                let reparse =
-                  cost.Driver.Cost.sec_per_token *. float_of_int task_tokens
-                  *. noise (salt + 200 + ti)
-                in
-                charged ws (fun () ->
-                    Netsim.Host.compute sim ws ~factor ~tag:"reparse"
-                      ~seconds:reparse);
-                lspan ws ~name:"parse" ~t0:t_parse;
-                stats.extra_parse_cpu <- stats.extra_parse_cpu +. reparse;
-                if not cfg.Config.fine_grained then begin
-                  (* Coarse grain (the paper): phases 2+3 together.
-                     With the compile cache on, each function is first
-                     looked up by content key: a hit transfers the
-                     memoized artifact — free when this station's byte
-                     cache still holds it — instead of computing. *)
-                  let t_p23 = Netsim.Des.now sim in
-                  List.iteri
-                    (fun fi (fw : Driver.Compile.func_work) ->
-                      let hit =
-                        match (cache, fw.Driver.Compile.fw_key) with
-                        | Some c, Some key -> (
-                          match Cache.find c ~owner:(cache_owner fw) ~key with
-                          | Cache.Hit e ->
-                            stats.cache_hits <- stats.cache_hits + 1;
-                            cache_instant ~name:"cache-hit" fw ~key ~extra:[];
-                            let file = "art:" ^ key in
-                            (if not (has ws file) then
-                               fetch ~client:ws.Netsim.Host.ws_id ~file
-                                 (Cache.meta_bytes +. e.Cache.e_bytes));
-                            alive ws;
-                            true
-                          | Cache.Miss { stale } ->
-                            stats.cache_misses <- stats.cache_misses + 1;
-                            if stale then
-                              stats.cache_invalidated <-
-                                stats.cache_invalidated + 1;
-                            cache_instant ~name:"cache-miss" fw ~key
-                              ~extra:
-                                [ ("invalidated", if stale then "1" else "0") ];
-                            false)
-                        | _ -> false
-                      in
-                      if not hit then begin
-                        set_resident ws (Driver.Cost.function_master_mb cost fw);
-                        compute_f ~tag:"phase23" ws
-                          (Driver.Cost.phase23_seconds cost fw)
-                          (300 + (31 * ti) + fi)
-                      end)
-                    task.Plan.t_funcs;
-                  lspan ws ~name:"phase23" ~t0:t_p23;
-                  let t_wb = Netsim.Des.now sim in
-                  store output_bytes;
-                  alive ws;
-                  if speculative then begin
-                    (* Stage into a versioned buffer and release the
-                       station immediately: the commit verdict is
-                       awaited off-station, so speculation never holds
-                       a pool slot hostage. *)
-                    lspan ws ~name:"stage" ~t0:t_wb;
-                    staged := true;
-                    lspan ws ~name:"spec-attempt" ~t0:t_claim
-                  end
-                  else lspan ws ~name:"write-back" ~t0:t_wb;
-                  set_resident ws 0.0;
-                  Netsim.Host.release_station sim cluster ws
-                end
-                else begin
-                  (* Fine grain: phase 2 here, then hand the IR to a
-                     phase-3 master on a (possibly different) pool
-                     station. *)
-                  let t_p2 = Netsim.Des.now sim in
-                  List.iteri
-                    (fun fi (fw : Driver.Compile.func_work) ->
-                      set_resident ws (Driver.Cost.function_master_mb cost fw);
-                      compute_f ~tag:"phase2" ws
-                        (Driver.Cost.phase2_seconds cost fw)
-                        (300 + (31 * ti) + fi))
-                    task.Plan.t_funcs;
-                  lspan ws ~name:"phase2" ~t0:t_p2;
-                  let ir_bytes =
-                    List.fold_left
-                      (fun acc fw -> acc +. Driver.Cost.ir_bytes fw)
-                      0.0 task.Plan.t_funcs
-                  in
-                  let t_ir = Netsim.Des.now sim in
-                  store ir_bytes;
-                  alive ws;
-                  lspan ws ~name:"write-ir" ~t0:t_ir;
-                  set_resident ws 0.0;
-                  Netsim.Host.release_station sim cluster ws;
-                  (* Phase-3 master: a fresh Lisp on a pool station
-                     (on a locality retry, preferably one that held
-                     this task's IR or the core image before). *)
-                  let ir_file = "ir:" ^ task_label in
-                  let t_claim3 = Netsim.Des.now sim in
-                  let ws3 =
-                    if locality then
-                      Netsim.Host.claim_prefer sim cluster ~rank:(fun w ->
-                          (if has w ir_file then 2 else 0)
-                          + (if has w core_file then 1 else 0))
-                    else Netsim.Host.claim sim cluster
-                  in
-                  lspan ws3 ~name:"claim" ~t0:t_claim3;
-                  (match head_name with
-                  | Some name -> note (name ^ "#p3") ws3.Netsim.Host.ws_id
-                  | None -> ());
-                  (if cfg.Config.core_download && not (cache_hit ws3 core_file)
-                   then begin
-                     let t0 = Netsim.Des.now sim in
-                     fetch ~client:ws3.Netsim.Host.ws_id ~file:core_file
-                       cost.Driver.Cost.lisp_core_bytes;
-                     lspan ws3 ~name:"transfer" ~t0
-                   end);
-                  alive ws3;
-                  set_resident ws3 cost.Driver.Cost.lisp_core_mb;
-                  compute_f ~tag:"lisp-init" ws3 cost.Driver.Cost.lisp_init_seconds
-                    (400 + ti);
-                  let t_fir = Netsim.Des.now sim in
-                  (if not (cache_hit ws3 ir_file) then
-                     fetch ~client:ws3.Netsim.Host.ws_id ~file:ir_file ir_bytes);
-                  alive ws3;
-                  lspan ws3 ~name:"fetch-ir" ~t0:t_fir;
-                  let t_p3 = Netsim.Des.now sim in
-                  List.iteri
-                    (fun fi (fw : Driver.Compile.func_work) ->
-                      set_resident ws3 (Driver.Cost.function_master_mb cost fw);
-                      compute_f ~tag:"phase3" ws3
-                        (Driver.Cost.phase3_seconds cost fw)
-                        (500 + (31 * ti) + fi))
-                    task.Plan.t_funcs;
-                  lspan ws3 ~name:"phase3" ~t0:t_p3;
-                  let t_wb = Netsim.Des.now sim in
-                  store output_bytes;
-                  alive ws3;
-                  if speculative then begin
-                    lspan ws3 ~name:"stage" ~t0:t_wb;
-                    staged := true;
-                    lspan ws3 ~name:"spec-attempt" ~t0:t_claim
-                  end
-                  else lspan ws3 ~name:"write-back" ~t0:t_wb;
-                  set_resident ws3 0.0;
-                  Netsim.Host.release_station sim cluster ws3
-                end
-              in
-              (* Dependence gating happens inside the spawned process,
-                 so the section master keeps forking the rest of its
-                 queue while a gated task parks. *)
-              let await_deps () =
-                List.iter (fun d -> Netsim.Sync.await completion.(d)) deps.(ti)
-              in
-              if not supervised then
-                (* Legacy path: no supervisor, no watchdog — the exact
-                   event schedule (and timings) of the fault-free
-                   compiler. *)
-                Netsim.Des.spawn sim (fun () ->
-                    await_deps ();
-                    attempt
-                      ~note:(fun name id ->
-                        stats.placements <- (name, id) :: stats.placements)
-                      ~spent:(ref 0.0) ~attempt_n:1 ~hardened:true
-                      ~staged:(ref false) ~spec_pending:(ref []) ();
-                    cache_publish ();
-                    Netsim.Sync.set completion.(ti);
-                    Netsim.Sync.signal tasks_done)
-              else begin
-                (* Supervised path: attempts run under a deadline and a
-                   retry budget, then the task falls back to the
-                   master's own Lisp. *)
-                let work_estimate =
-                  cost.Driver.Cost.lisp_init_seconds
-                  +. (cost.Driver.Cost.sec_per_token *. float_of_int task_tokens)
-                  +. Driver.Cost.task_phase23_seconds cost task.Plan.t_funcs
-                  +. (if cfg.Config.fine_grained then
-                        cost.Driver.Cost.lisp_init_seconds
-                      else 0.0)
-                  +. 60.0 (* grace for downloads and queueing *)
-                in
-                let deadline = cfg.Config.deadline_factor *. work_estimate in
-                let sup : sup_msg Netsim.Sync.mailbox = Netsim.Sync.mailbox () in
-                let completed = ref false in
-                let attempt_no = ref 0 in
-                (* Commit-oracle state: aborts so far, and whether the
-                   task's speculative edges have hardened to gated. *)
-                let spec_fails = ref 0 in
-                let hardened = ref false in
-                let launch () =
-                  incr attempt_no;
-                  let n = !attempt_no in
-                  let staged = ref false in
-                  (* Watchdog: the section master presumes the attempt
-                     lost if it has not reported by the deadline.  A
-                     staged speculative attempt is off-station merely
-                     awaiting its commit verdict — the oracle, not the
-                     clock, rules on it. *)
-                  Netsim.Des.spawn sim (fun () ->
-                      Netsim.Des.delay deadline;
-                      if (not !completed) && not !staged then begin
-                        linstant ~name:"timeout" ~attempt_n:n ();
-                        Netsim.Sync.send sup (Msg_timed_out n)
-                      end);
-                  let noted = ref [] in
-                  let spent = ref 0.0 in
-                  let spec_pending = ref [] in
-                  let note name id = noted := (name, id) :: !noted in
-                  let wasted () =
-                    stats.wasted_cpu <- stats.wasted_cpu +. !spent;
-                    linstant ~name:"wasted" ~attempt_n:n
-                      ~extra:[ ("cpu", Trace.farg !spent) ]
-                      ()
-                  in
-                  let win () =
-                    completed := true;
-                    cache_publish ();
-                    stats.placements <- !noted @ stats.placements;
-                    Netsim.Sync.send sup Msg_completed
-                  in
-                  Netsim.Des.spawn sim (fun () ->
-                      match
-                        attempt ~note ~spent ~attempt_n:n
-                          ~hardened:!hardened ~staged ~spec_pending ()
-                      with
-                      | () -> (
-                        match !spec_pending with
-                        | [] ->
-                          (* Durable write-back already happened inside
-                             the attempt. *)
-                          if !completed then
-                            (* A re-dispatch beat this straggler: its
-                               write-back is superseded, not
-                               repeated. *)
-                            wasted ()
-                          else win ()
-                        | pending -> (
-                          (* Commit protocol, off-station.  The online
-                             race check is per involved edge: a pending
-                             predecessor the attempt overlapped is a
-                             race exactly when the pair really shares
-                             state (hot); cold edges are conservative
-                             artifacts and commit without waiting. *)
-                          match
-                            List.filter
-                              (fun d -> List.mem d hot_deps.(ti))
-                              pending
-                          with
-                          | d :: _ ->
-                            (* Conflict: rule at predecessor write-back
-                               time, then quarantine the stale staged
-                               artifact (a version-pointer flip on the
-                               file server) and surrender the attempt's
-                               CPU to the wasted account. *)
-                            Netsim.Sync.await completion.(d);
-                            if !completed then wasted ()
-                            else begin
-                              let t_ab = Netsim.Des.now sim in
-                              store spec_meta_bytes;
-                              stats.spec_rolled_back <-
-                                stats.spec_rolled_back + 1;
-                              lspan ws_m ~name:"spec-abort" ~attempt_n:n
-                                ~t0:t_ab;
-                              wasted ();
-                              Netsim.Sync.send sup (Msg_aborted n)
-                            end
-                          | [] ->
-                            if !completed then wasted ()
-                            else begin
-                              (* Commit: claim the completion token
-                                 before the pointer flip yields, so the
-                                 staged artifact becomes the durable
-                                 write-back exactly once. *)
-                              completed := true;
-                              let t_cm = Netsim.Des.now sim in
-                              store spec_meta_bytes;
-                              stats.spec_committed <-
-                                stats.spec_committed + 1;
-                              lspan ws_m ~name:"spec-commit" ~attempt_n:n
-                                ~t0:t_cm;
-                              cache_publish ();
-                              stats.placements <- !noted @ stats.placements;
-                              Netsim.Sync.send sup Msg_completed
-                            end))
-                      | exception Lost _ ->
-                        linstant ~name:"attempt-lost" ~attempt_n:n ();
-                        wasted ();
-                        Netsim.Sync.send sup (Msg_failed n))
-                in
-                let fallback () =
-                  (* Budget exhausted: compile the task in the master's
-                     Lisp, which already holds the parsed module — the
-                     sequential degradation rung.  Claim the completion
-                     token first so any straggler counts as wasted. *)
-                  completed := true;
-                  stats.fallback_tasks <- stats.fallback_tasks + 1;
-                  let t_fb = Netsim.Des.now sim in
-                  List.iteri
-                    (fun fi (fw : Driver.Compile.func_work) ->
-                      let mb =
-                        cost.Driver.Cost.data_mb_per_loc
-                        *. float_of_int fw.Driver.Compile.fw_loc
-                      in
-                      Netsim.Host.add_resident ws_m mb;
-                      must
-                        (Netsim.Host.compute sim ws_m ~factor
-                           ~tag:"fallback-phase23"
-                           ~seconds:
-                             (Driver.Cost.phase23_seconds cost fw
-                             *. noise (salt + 600 + (31 * ti) + fi)));
-                      Netsim.Host.remove_resident ws_m mb)
-                    task.Plan.t_funcs;
-                  store output_bytes;
-                  cache_publish ();
-                  lspan ws_m ~name:"fallback" ~attempt_n:(!attempt_no + 1)
-                    ~t0:t_fb;
-                  match head_name with
-                  | Some name ->
-                    stats.placements <-
-                      (name, ws_m.Netsim.Host.ws_id) :: stats.placements
-                  | None -> ()
-                in
-                Netsim.Des.spawn sim (fun () ->
-                    await_deps ();
-                    launch ();
-                    let rec await budget =
-                      match Netsim.Sync.recv sup with
-                      | Msg_completed -> ()
-                      | (Msg_failed n | Msg_timed_out n)
-                        when n = !attempt_no && not !completed ->
-                        if budget > 0 then begin
-                          let step = cfg.Config.retry_budget - budget in
-                          Netsim.Des.delay (Config.backoff_delay cfg ~step);
-                          (* A straggler may have finished during the
-                             backoff; its Msg_completed is queued. *)
-                          if !completed then ()
-                          else begin
-                            stats.retries <- stats.retries + 1;
-                            linstant ~name:"retry" ~attempt_n:(!attempt_no + 1) ();
-                            launch ();
-                            await (budget - 1)
-                          end
-                        end
-                        else fallback ()
-                      | Msg_aborted n when n = !attempt_no && not !completed ->
-                        (* Misspeculation.  The conflicting predecessor
-                           just wrote back durably, so an immediate
-                           relaunch cannot re-conflict on it: no
-                           backoff, and the retry budget (which pays for
-                           faults, not oracle verdicts) is untouched.
-                           Past the speculation budget the task hardens:
-                           further launches gate on every erstwhile
-                           speculative edge, which is the dag+lpt
-                           discipline for this task. *)
-                        spec_fails := !spec_fails + 1;
-                        if !spec_fails >= cfg.Config.spec_budget then begin
-                          hardened := true;
-                          List.iter
-                            (fun d -> Netsim.Sync.await completion.(d))
-                            spec_deps.(ti)
-                        end;
-                        launch ();
-                        await budget
-                      | Msg_failed _ | Msg_timed_out _ | Msg_aborted _ ->
-                        (* Stale attempt, or the task completed since
-                           this verdict was posted. *)
-                        await budget
-                    in
-                    await cfg.Config.retry_budget;
-                    (* The task's output is durably written back —
-                       whether by a surviving attempt or the fallback —
-                       only here, so the completion event fires exactly
-                       once per task, after the write that dependents
-                       are allowed to read. *)
-                    Netsim.Sync.set completion.(ti);
-                    Netsim.Sync.signal tasks_done)
-              end)
-            tasks;
-          Netsim.Sync.wait tasks_done;
-          (* Combine per-function results and diagnostics. *)
-          let sw =
-            match
-              List.find_opt
-                (fun (s : Driver.Compile.section_work) ->
-                  s.Driver.Compile.sw_name = section_name)
-                mw.Driver.Compile.mw_sections
-            with
-            | Some sw -> sw
-            | None ->
-              failwith
-                (Printf.sprintf
-                   "Parrun: plan names section %S, but module %s only has: %s"
-                   section_name mw.Driver.Compile.mw_name
-                   (String.concat ", "
-                      (List.map
-                         (fun (s : Driver.Compile.section_work) ->
-                           s.Driver.Compile.sw_name)
-                         mw.Driver.Compile.mw_sections)))
-          in
-          let combine = Driver.Cost.combine_seconds sw *. noise (salt + 40 + si) in
-          must
-            (Netsim.Host.compute sim ws_m ~factor ~tag:"combine"
-               ~seconds:combine);
-          stats.section_cpu <- stats.section_cpu +. combine;
-          Netsim.Sync.signal sections_done))
+    (fun si section ->
+      Netsim.Des.spawn sim (section_master m mw plan si section ~sections_done))
     plan.Plan.tasks_per_section;
   Netsim.Sync.wait sections_done;
   (* Phase 4 back in the master's Lisp process. *)
-  set_resident ws_m
+  Netsim.Host.set_resident ws_m
     (cost.Driver.Cost.lisp_core_mb +. ast_mb
-    +. (cost.Driver.Cost.retained_mb_per_loc *. float_of_int mw.Driver.Compile.mw_loc));
-  compute_m ~tag:"phase4" (Driver.Cost.phase4_seconds cost mw) 50;
-  store (float_of_int (Driver.Compile.total_image_bytes mw));
-  set_resident ws_m 0.0;
+    +. cost.Driver.Cost.retained_mb_per_loc
+       *. float_of_int mw.Driver.Compile.mw_loc);
+  ignore (compute m ws_m ~tag:"phase4" (Driver.Cost.phase4_seconds cost mw) 50);
+  store m (float_of_int (Driver.Compile.total_image_bytes mw));
+  Netsim.Host.set_resident ws_m 0.0;
   Netsim.Host.release_station sim cluster ws_m;
   on_finish (Netsim.Des.now sim)
 
-let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : outcome =
+let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) :
+    outcome =
   let sim = Netsim.Des.create () in
   (* When this run starts on an empty trace, the recorded spans must
      reproduce the mutable-counter bookkeeping exactly — checked below
@@ -899,60 +735,27 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : out
     Trace.enabled tr && Trace.span_count tr = 0 && Trace.instant_count tr = 0
   in
   let cluster = Config.cluster cfg in
-  let noise = Config.noise cfg in
   let finish = ref 0.0 in
-  let stats = fresh_stats () in
+  let stats = Timings.fresh_stats () in
   Netsim.Des.spawn sim
-    (master_process cfg sim cluster ~noise ~salt:0 mw plan ~stats
+    (master_process cfg sim cluster ~noise:(Config.noise cfg) ~salt:0 mw plan ~stats
        ~on_finish:(fun t -> finish := t));
   ignore (Netsim.Des.run sim);
-  let cpu = Netsim.Host.cpu_times cluster in
-  let run =
-    {
-      Timings.elapsed = !finish;
-      cpu_per_station = cpu;
-      master_cpu = stats.master_cpu;
-      section_cpu = stats.section_cpu;
-      extra_parse_cpu = stats.extra_parse_cpu;
-      stations_used = List.length cpu;
-      dispatch_units = stats.dispatch_units;
-      retries = stats.retries;
-      stations_lost = Netsim.Host.lost_stations cluster ~now:!finish;
-      fallback_tasks = stats.fallback_tasks;
-      wasted_cpu = stats.wasted_cpu;
-      spec_dispatched = stats.spec_dispatched;
-      spec_committed = stats.spec_committed;
-      spec_rolled_back = stats.spec_rolled_back;
-      cache_hits = stats.cache_hits;
-      cache_misses = stats.cache_misses;
-      cache_invalidated = stats.cache_invalidated;
-    }
-  in
+  let run = Timings.of_stats stats cluster ~elapsed:!finish in
   if fresh_trace then begin
     Traceview.assert_matches_run tr run;
     (* Under a DAG policy the schedule promises dependence order; let
-       the trace prove it kept that promise.  [Sched.schedule] is pure
-       and deterministic, so re-deriving the scheduled plan here sees
-       exactly the task queues the master dispatched.  dag+spec makes a
-       weaker promise — proven edges ordered, speculative edges ordered
-       only for the winning attempt of genuinely conflicting pairs —
-       checked by the speculation-aware oracle. *)
+       the trace prove it kept that promise.  dag+spec makes a weaker
+       promise — proven edges ordered, speculative edges ordered only
+       for the winning attempt of genuinely conflicting pairs — checked
+       by the speculation-aware oracle. *)
     let policy = Config.effective_policy cfg in
-    if Sched.dag_gated policy then begin
-      let scheduled =
-        Sched.schedule ~static:cfg.Config.static_cost ~policy
-          ~cost:cfg.Config.cost ~threshold:cfg.Config.batch_threshold
-          ~stations:cfg.Config.stations plan
-      in
-      if policy = Sched.Dag_spec then
-        Traceview.assert_race_free_spec tr ~plan:scheduled
-      else Traceview.assert_race_free tr ~plan:scheduled
-    end
+    if policy = Sched.Dag_spec then
+      Traceview.assert_race_free_spec tr ~plan:(scheduled cfg plan)
+    else if Sched.dag_gated policy then
+      Traceview.assert_race_free tr ~plan:(scheduled cfg plan)
   end;
-  {
-    run;
-    (* Placements report in (task, station) order rather than
-       completion order, which under supervision depends on the racing
-       attempts — sorted output is stable across fault plans. *)
-    station_of_task = List.sort compare stats.placements;
-  }
+  (* Placements report in (task, station) order rather than completion
+     order, which under supervision depends on the racing attempts —
+     sorted output is stable across fault plans. *)
+  { run; station_of_task = List.sort compare stats.Timings.placements }

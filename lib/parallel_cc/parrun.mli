@@ -10,18 +10,27 @@
     policy the re-dispatch prefers — and skips re-downloads on — a
     station that already holds the task's bytes ({!Netsim.Net.cached}).
 
-    With {!Config.t.fine_grained} set, each task splits into a phase-2
-    and a phase-3 task connected by an IR file on the server — the
-    "finer grain parallelism" the paper's section 5 anticipates.
+    Every task runs one lifecycle: claim → fetch → compute → stage →
+    commit | abort → publish.  Whichever path first makes its output
+    durable (an attempt's write-back, a speculative commit, or the
+    sequential fallback) takes the task's completion token, publishes
+    to the compile cache ({!Cache.publish}) and records the placements;
+    every later finisher only adds to [wasted_cpu].  Two pieces vary:
 
-    When {!Config.t.faults} is non-empty, every task runs under a
-    supervisor in its section master: per-attempt deadlines from the
-    cost model, crash/timeout detection, FCFS re-dispatch with
-    exponential backoff up to {!Config.t.retry_budget}, idempotent
-    write-back, and — once the budget is exhausted — sequential
-    fallback in the master's own Lisp, so the compilation terminates
-    with identical output no matter the fault plan.  With an empty
-    plan the legacy unsupervised schedule runs bit-for-bit.
+    - the execution stage.  With {!Config.t.fine_grained} set, each
+      task splits into a phase-2 and a phase-3 master connected by an
+      IR file on the server — the "finer grain parallelism" the paper's
+      section 5 anticipates;
+
+    - supervision.  When {!Config.t.faults} is non-empty, every task
+      runs under a supervisor in its section master: per-attempt
+      deadlines from the cost model, crash/timeout detection, FCFS
+      re-dispatch with exponential backoff up to
+      {!Config.t.retry_budget}, and — once the budget is exhausted —
+      sequential fallback in the master's own Lisp, so the compilation
+      terminates with identical output no matter the fault plan.
+      Without a supervisor the one attempt runs inline in the task's
+      process, with no watchdog and no mailbox.
 
     Under {!Sched.Dag_spec} (as resolved by {!Config.effective_policy})
     tasks also run supervised, fault plan or not: an attempt whose
@@ -42,31 +51,6 @@ type outcome = {
           phase-3 placements appear as ["name#p3"] *)
 }
 
-type stats = {
-  mutable master_cpu : float;
-  mutable section_cpu : float;
-  mutable extra_parse_cpu : float;
-  mutable placements : (string * int) list;
-  mutable dispatch_units : int;
-      (** tasks launched after scheduling (batching merges tasks, so
-          this can be below the input plan's task count) *)
-  mutable retries : int;
-  mutable fallback_tasks : int;
-  mutable wasted_cpu : float;
-  mutable spec_dispatched : int;
-  mutable spec_committed : int;
-  mutable spec_rolled_back : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_invalidated : int;
-      (** compile-cache tallies ({!Config.t.cache}); invalidated is the
-          subset of misses whose function had published a different key *)
-}
-(** Mutable counters one or more master processes accumulate into;
-    {!run} folds them into the {!Timings.run}. *)
-
-val fresh_stats : unit -> stats
-
 val master_process :
   Config.t ->
   Netsim.Des.t ->
@@ -75,12 +59,16 @@ val master_process :
   salt:int ->
   Driver.Compile.module_work ->
   Plan.t ->
-  stats:stats ->
+  stats:Timings.stats ->
   on_finish:(float -> unit) ->
   unit ->
   unit
 (** The spawnable master body; several can share a cluster (the
-    combined strategy of the parallel-make study). *)
+    combined strategy of the parallel-make study).  [stats] receives
+    the counters: the tasks launched after scheduling (batching merges
+    tasks, so [dispatch_units] can be below the input plan's task
+    count), the retries, fallbacks, speculation verdicts and
+    compile-cache tallies. *)
 
 val run : Config.t -> Driver.Compile.module_work -> Plan.t -> outcome
 (** One parallel compilation on a fresh cluster. *)

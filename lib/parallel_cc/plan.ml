@@ -183,5 +183,8 @@ let grouped (mw : Driver.Compile.module_work) ~processors : t =
 let task_count (plan : t) =
   List.fold_left (fun acc (_, tasks) -> acc + List.length tasks) 0 plan.tasks_per_section
 
+let task_head (task : task) =
+  match task.t_funcs with fw :: _ -> Some fw.Driver.Compile.fw_name | [] -> None
+
 let task_loc (task : task) =
   List.fold_left (fun acc fw -> acc + fw.Driver.Compile.fw_loc) 0 task.t_funcs

@@ -38,10 +38,6 @@ val proven_deps : t -> (string * (string * string) list) list
 (** [func_deps] minus [spec_edges]: the edges [dag+spec] still gates
     on. *)
 
-val estimate : Driver.Compile.func_work -> float
-(** The paper's compile-time proxy: lines of code weighted by
-    structure. *)
-
 val one_per_station : Driver.Compile.module_work -> t
 (** The paper's default: one task per function, dispatched FCFS. *)
 
@@ -52,6 +48,10 @@ val grouped : Driver.Compile.module_work -> processors:int -> t
 
 val task_count : t -> int
 (** Total tasks across all sections. *)
+
+val task_head : task -> string option
+(** Name of the task's first function: the label its placements and
+    trace spans carry. *)
 
 val task_loc : task -> int
 (** Lines of code a task compiles (summed over its functions). *)

@@ -10,55 +10,33 @@
    [compile_process] is the spawnable body, reused by the parallel-make
    study where several sequential compilations share the cluster. *)
 
-let set_resident ws mb =
-  Netsim.Host.remove_resident ws ws.Netsim.Host.resident_mb;
-  Netsim.Host.add_resident ws mb
-
-(* Compile-cache tallies of one sequential compilation; the caller
-   owns the record so [run] can fold them into the timings while the
-   parallel-make study, which spawns [compile_process] directly, can
-   ignore them. *)
-type cache_counters = {
-  mutable cc_hits : int;
-  mutable cc_misses : int;
-  mutable cc_invalidated : int;
-}
-
-let fresh_counters () = { cc_hits = 0; cc_misses = 0; cc_invalidated = 0 }
-
 (* One sequential compilation of [mw]: claims a workstation, runs the
    four phases, releases the station and reports its completion time.
    [salt] decorrelates the noise of concurrent instances. *)
-let compile_process ?(counters = fresh_counters ()) (cfg : Config.t) sim
+let compile_process ?(stats = Timings.fresh_stats ()) (cfg : Config.t) sim
     (cluster : Netsim.Host.cluster) ~noise ~salt
     (mw : Driver.Compile.module_work) ~on_finish () =
   let cost = cfg.Config.cost in
   let tr = cfg.Config.trace in
+  let t_claim = Netsim.Des.now sim in
+  let ws = Netsim.Host.claim sim cluster in
+  stats.Timings.dispatch_units <- stats.Timings.dispatch_units + 1;
   (* The compile cache memoizes whole-function artifacts, which the
      sequential compiler produces too — one Lisp recompiling a module
      it compiled before skips the unchanged functions' phase 2+3 just
-     like the parallel one.  Disabled at fine grain for symmetry with
-     [Parrun], so a seq/par comparison is never half-cached. *)
+     like the parallel one. *)
   let cache =
-    match cfg.Config.cache with
-    | Some c when not cfg.Config.fine_grained -> Some c
-    | _ -> None
+    {
+      Cache.store = Config.compile_cache cfg;
+      sim;
+      cluster;
+      stats;
+      trace = tr;
+      track = ws.Netsim.Host.ws_id;
+      task = mw.Driver.Compile.mw_name;
+      modul = mw.Driver.Compile.mw_name;
+    }
   in
-  let cache_instant ~ws ~name (fw : Driver.Compile.func_work) ~key ~extra =
-    if Trace.enabled tr then
-      Trace.instant tr ~track:ws.Netsim.Host.ws_id ~cat:"cache" ~name
-        ~args:
-          (("task", mw.Driver.Compile.mw_name)
-          :: ("func", fw.Driver.Compile.fw_name)
-          :: ("key", key) :: extra)
-        ~at:(Netsim.Des.now sim) ()
-  in
-  let owner_of (fw : Driver.Compile.func_work) =
-    Cache.owner ~modul:mw.Driver.Compile.mw_name
-      ~section:fw.Driver.Compile.fw_section ~func:fw.Driver.Compile.fw_name
-  in
-  let t_claim = Netsim.Des.now sim in
-  let ws = Netsim.Host.claim sim cluster in
   let lspan ~name ~t0 =
     if Trace.enabled tr then
       Trace.span tr ~track:ws.Netsim.Host.ws_id ~cat:"task" ~name
@@ -87,7 +65,7 @@ let compile_process ?(counters = fresh_counters ()) (cfg : Config.t) sim
        ~bytes:cost.Driver.Cost.lisp_core_bytes;
      lspan ~name:"transfer" ~t0
    end);
-  set_resident ws cost.Driver.Cost.lisp_core_mb;
+  Netsim.Host.set_resident ws cost.Driver.Cost.lisp_core_mb;
   compute ~tag:"lisp-init" cost.Driver.Cost.lisp_init_seconds 1;
   (* Read the source from the file server. *)
   let t_parse = Netsim.Des.now sim in
@@ -97,7 +75,7 @@ let compile_process ?(counters = fresh_counters ()) (cfg : Config.t) sim
   let ast_mb =
     cost.Driver.Cost.ast_mb_per_loc *. float_of_int mw.Driver.Compile.mw_loc
   in
-  set_resident ws (cost.Driver.Cost.lisp_core_mb +. ast_mb);
+  Netsim.Host.set_resident ws (cost.Driver.Cost.lisp_core_mb +. ast_mb);
   compute ~tag:"phase1" (Driver.Cost.phase1_seconds cost mw) 2;
   lspan ~name:"parse" ~t0:t_parse;
   (* Phases 2+3, function after function; the heap never shrinks. *)
@@ -110,29 +88,13 @@ let compile_process ?(counters = fresh_counters ()) (cfg : Config.t) sim
           (* The heap retains the function's data whether it was
              recompiled or its artifact fetched, so residency grows
              identically on both paths — only the compute is skipped. *)
-          set_resident ws
+          Netsim.Host.set_resident ws
             (Driver.Cost.sequential_mb cost mw ~compiled_loc:!compiled_loc
                ~current_loc:fw.Driver.Compile.fw_loc);
           let hit =
-            match (cache, fw.Driver.Compile.fw_key) with
-            | Some c, Some key -> (
-              match Cache.find c ~owner:(owner_of fw) ~key with
-              | Cache.Hit e ->
-                counters.cc_hits <- counters.cc_hits + 1;
-                cache_instant ~ws ~name:"cache-hit" fw ~key ~extra:[];
-                Netsim.Net.fetch ~client:ws.Netsim.Host.ws_id
-                  ~file:("art:" ^ key) sim cluster.Netsim.Host.fs
-                  cluster.Netsim.Host.ether
-                  ~bytes:(Cache.meta_bytes +. e.Cache.e_bytes);
-                true
-              | Cache.Miss { stale } ->
-                counters.cc_misses <- counters.cc_misses + 1;
-                if stale then
-                  counters.cc_invalidated <- counters.cc_invalidated + 1;
-                cache_instant ~ws ~name:"cache-miss" fw ~key
-                  ~extra:[ ("invalidated", if stale then "1" else "0") ];
-                false)
-            | _ -> false
+            Cache.lookup cache fw ~fetch:(fun ~file bytes ->
+                Netsim.Net.fetch ~client:ws.Netsim.Host.ws_id ~file sim
+                  cluster.Netsim.Host.fs cluster.Netsim.Host.ether ~bytes)
           in
           if not hit then
             compute ~tag:"phase23"
@@ -143,7 +105,7 @@ let compile_process ?(counters = fresh_counters ()) (cfg : Config.t) sim
     mw.Driver.Compile.mw_sections;
   lspan ~name:"phase23" ~t0:t_p23;
   (* Phase 4: assembly, linking, drivers; then write the outputs. *)
-  set_resident ws
+  Netsim.Host.set_resident ws
     (Driver.Cost.sequential_mb cost mw ~compiled_loc:!compiled_loc ~current_loc:0);
   compute ~tag:"phase4" (Driver.Cost.phase4_seconds cost mw) 99;
   let t_wb = Netsim.Des.now sim in
@@ -152,29 +114,9 @@ let compile_process ?(counters = fresh_counters ()) (cfg : Config.t) sim
   (* Durable publication: the sequential compiler's outputs all become
      durable here, so this is where newly computed artifacts enter the
      compile cache (already-durable keys are skipped and free). *)
-  (match cache with
-  | None -> ()
-  | Some c ->
-    let stored =
-      List.fold_left
-        (fun acc (fw : Driver.Compile.func_work) ->
-          match fw.Driver.Compile.fw_key with
-          | None -> acc
-          | Some key ->
-            let bytes = Cache.artifact_bytes fw in
-            if Cache.populate c ~owner:(owner_of fw) ~key ~bytes then begin
-              cache_instant ~ws ~name:"cache-store" fw ~key ~extra:[];
-              acc +. bytes +. Cache.meta_bytes
-            end
-            else acc)
-        0.0
-        (Driver.Compile.all_funcs mw)
-    in
-    if stored > 0.0 then
-      Netsim.Net.store sim cluster.Netsim.Host.fs cluster.Netsim.Host.ether
-        ~bytes:stored);
+  Cache.publish cache (Driver.Compile.all_funcs mw);
   lspan ~name:"write-back" ~t0:t_wb;
-  set_resident ws 0.0;
+  Netsim.Host.set_resident ws 0.0;
   Netsim.Host.release_station sim cluster ws;
   on_finish (Netsim.Des.now sim)
 
@@ -183,27 +125,9 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) : Timings.run =
   let cluster = Config.cluster cfg in
   let noise = Config.noise cfg in
   let finish = ref 0.0 in
-  let counters = fresh_counters () in
+  let stats = Timings.fresh_stats () in
   Netsim.Des.spawn sim
-    (compile_process ~counters cfg sim cluster ~noise ~salt:0 mw
+    (compile_process ~stats cfg sim cluster ~noise ~salt:0 mw
        ~on_finish:(fun t -> finish := t));
   ignore (Netsim.Des.run sim);
-  {
-    Timings.elapsed = !finish;
-    cpu_per_station = Netsim.Host.cpu_times cluster;
-    master_cpu = 0.0;
-    section_cpu = 0.0;
-    extra_parse_cpu = 0.0;
-    stations_used = 1;
-    dispatch_units = 1;
-    retries = 0;
-    stations_lost = 0;
-    fallback_tasks = 0;
-    wasted_cpu = 0.0;
-    spec_dispatched = 0;
-    spec_committed = 0;
-    spec_rolled_back = 0;
-    cache_hits = counters.cc_hits;
-    cache_misses = counters.cc_misses;
-    cache_invalidated = counters.cc_invalidated;
-  }
+  Timings.of_stats stats cluster ~elapsed:!finish

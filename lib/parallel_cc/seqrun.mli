@@ -4,21 +4,8 @@
     (the paper's explanation of the sequential compiler's own system
     overhead). *)
 
-val set_resident : Netsim.Host.workstation -> float -> unit
-(** Replace a station's resident set (helper shared with {!Parrun}). *)
-
-type cache_counters = {
-  mutable cc_hits : int;
-  mutable cc_misses : int;
-  mutable cc_invalidated : int;
-}
-(** Compile-cache tallies of one sequential compilation (see
-    {!Config.t.cache}); all zero when no cache is configured. *)
-
-val fresh_counters : unit -> cache_counters
-
 val compile_process :
-  ?counters:cache_counters ->
+  ?stats:Timings.stats ->
   Config.t ->
   Netsim.Des.t ->
   Netsim.Host.cluster ->
@@ -32,8 +19,8 @@ val compile_process :
     workstation, runs the four phases, releases it, and reports its
     completion time.  Reused by the parallel-make study, where several
     instances share a cluster ([salt] decorrelates their noise).
-    [counters] receives the compile-cache tallies; omit it to discard
-    them. *)
+    [stats] receives the run's counters (one dispatch unit and the
+    compile-cache tallies); omit it to discard them. *)
 
 val run : Config.t -> Driver.Compile.module_work -> Timings.run
 (** One sequential compilation on a fresh cluster. *)

@@ -38,6 +38,65 @@ type run = {
                               invalidations, a subset of cache_misses *)
 }
 
+(* The mutable counters one or more runner processes accumulate into
+   while a simulation runs; [of_stats] folds them into the [run]. *)
+type stats = {
+  mutable master_cpu : float;
+  mutable section_cpu : float;
+  mutable extra_parse_cpu : float;
+  mutable placements : (string * int) list;
+  mutable dispatch_units : int;
+  mutable retries : int;
+  mutable fallback_tasks : int;
+  mutable wasted_cpu : float;
+  mutable spec_dispatched : int;
+  mutable spec_committed : int;
+  mutable spec_rolled_back : int;
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable cache_invalidated : int;
+}
+
+let fresh_stats () =
+  {
+    master_cpu = 0.0;
+    section_cpu = 0.0;
+    extra_parse_cpu = 0.0;
+    placements = [];
+    dispatch_units = 0;
+    retries = 0;
+    fallback_tasks = 0;
+    wasted_cpu = 0.0;
+    spec_dispatched = 0;
+    spec_committed = 0;
+    spec_rolled_back = 0;
+    cache_hits = 0;
+    cache_misses = 0;
+    cache_invalidated = 0;
+  }
+
+let of_stats (s : stats) (cluster : Netsim.Host.cluster) ~elapsed : run =
+  let cpu = Netsim.Host.cpu_times cluster in
+  {
+    elapsed;
+    cpu_per_station = cpu;
+    master_cpu = s.master_cpu;
+    section_cpu = s.section_cpu;
+    extra_parse_cpu = s.extra_parse_cpu;
+    stations_used = List.length cpu;
+    dispatch_units = s.dispatch_units;
+    retries = s.retries;
+    stations_lost = Netsim.Host.lost_stations cluster ~now:elapsed;
+    fallback_tasks = s.fallback_tasks;
+    wasted_cpu = s.wasted_cpu;
+    spec_dispatched = s.spec_dispatched;
+    spec_committed = s.spec_committed;
+    spec_rolled_back = s.spec_rolled_back;
+    cache_hits = s.cache_hits;
+    cache_misses = s.cache_misses;
+    cache_invalidated = s.cache_invalidated;
+  }
+
 type comparison = {
   processors : int; (* function masters running in parallel *)
   seq : run;

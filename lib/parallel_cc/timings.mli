@@ -41,6 +41,34 @@ type run = {
           of [cache_misses] *)
 }
 
+type stats = {
+  mutable master_cpu : float;
+  mutable section_cpu : float;
+  mutable extra_parse_cpu : float;
+  mutable placements : (string * int) list;
+      (** (task head, station) of every durable output *)
+  mutable dispatch_units : int;
+  mutable retries : int;
+  mutable fallback_tasks : int;
+  mutable wasted_cpu : float;
+  mutable spec_dispatched : int;
+  mutable spec_committed : int;
+  mutable spec_rolled_back : int;
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable cache_invalidated : int;
+}
+(** The counters of {!run}, accumulated while a simulation runs.  One
+    record is shared by every process of a run — {!Parrun}'s master
+    and its tasks, {!Seqrun}'s compiler, and the compile-cache lookups
+    of both ({!Cache.lookup}). *)
+
+val fresh_stats : unit -> stats
+
+val of_stats : stats -> Netsim.Host.cluster -> elapsed:float -> run
+(** The finished run: [stats], plus the per-station CPU, the stations
+    used and the stations lost by [elapsed], read off the cluster. *)
+
 type comparison = {
   processors : int; (** stations available to function masters *)
   seq : run;

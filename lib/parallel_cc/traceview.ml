@@ -225,18 +225,13 @@ let violation_to_string (v : ordering_violation) =
 (* Span args identify tasks by head-function label only, so a label
    reused across sections cannot be attributed; skip such edges rather
    than report phantom races. *)
-let label_of (t : Plan.task) =
-  match t.Plan.t_funcs with
-  | fw :: _ -> Some fw.Driver.Compile.fw_name
-  | [] -> None
-
 let unambiguous_labels (plan : Plan.t) =
   let owners = Hashtbl.create 32 in
   List.iter
     (fun (_, tasks) ->
       List.iter
         (fun t ->
-          match label_of t with
+          match Plan.task_head t with
           | Some l ->
             Hashtbl.replace owners l
               (1 + Option.value ~default:0 (Hashtbl.find_opt owners l))
@@ -308,7 +303,7 @@ let edge_violations (m : marks) ~(plan : Plan.t) ~func_deps ~start_of :
         (fun j ds ->
           List.iter
             (fun i ->
-              match (label_of arr.(i), label_of arr.(j)) with
+              match (Plan.task_head arr.(i), Plan.task_head arr.(j)) with
               | Some before, Some after
                 when unambiguous before && unambiguous after -> (
                 match

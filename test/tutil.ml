@@ -30,3 +30,19 @@ let value_testable : W2.Interp.value Alcotest.testable =
   Alcotest.testable
     (fun fmt v -> Format.pp_print_string fmt (W2.Interp.value_to_string v))
     eq
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Compile one shipped example.  [dune runtest] runs in
+   _build/default/test (examples are a sibling via the dune deps);
+   [dune exec] runs from the project root. *)
+let example name =
+  let dir =
+    List.find Sys.file_exists [ Filename.concat ".." "examples"; "examples" ]
+  in
+  Driver.Compile.compile_source ~file:name
+    (read_file (Filename.concat dir name))
