@@ -310,8 +310,7 @@ let project_order heads =
   let present = Hashtbl.create 16 in
   List.iter (fun (_, m, _) -> Hashtbl.replace present m ()) heads;
   let emitted = Hashtbl.create 16 in
-  let result = ref [] in
-  let rec sweep remaining =
+  let rec sweep acc remaining =
     let ready, rest =
       List.partition
         (fun (_, _, imports) ->
@@ -320,70 +319,36 @@ let project_order heads =
             imports)
         remaining
     in
-    if ready = [] then result := !result @ rest (* import cycle *)
+    if ready = [] then List.rev_append acc rest (* import cycle *)
     else begin
       List.iter (fun (_, m, _) -> Hashtbl.replace emitted m ()) ready;
-      result := !result @ ready;
-      if rest <> [] then sweep rest
+      let acc = List.rev_append ready acc in
+      if rest = [] then List.rev acc else sweep acc rest
     end
   in
-  sweep heads;
-  !result
+  sweep [] heads
+
+(* Parse and semantically check one file; semantic errors are printed
+   and reject it with exit code 1. *)
+let load_checked file =
+  let m = W2.Parser.module_of_string ~file (read_file file) in
+  (match W2.Semcheck.check_module m with
+  | [] -> ()
+  | errors ->
+    List.iter (fun e -> prerr_endline (W2.Semcheck.error_to_string e)) errors;
+    exit 1);
+  m
 
 let analyze_project ~dir ~sound ~max_tracked ~absint ~absint_max_intervals =
-  let order = project_order (project_heads dir) in
-  let summaries = ref [] in
-  let module_diags = ref [] in
-  List.iter
-    (fun (path, _, _) ->
-      let m = W2.Parser.module_of_string ~file:path (read_file path) in
-      (match W2.Semcheck.check_module m with
-      | [] -> ()
-      | errors ->
-        List.iter
-          (fun e -> prerr_endline (W2.Semcheck.error_to_string e))
-          errors;
-        exit 1);
-      let s =
-        Analysis.Modan.summarize ~deps:!summaries ~sound ~max_tracked ~absint
-          ~absint_max_intervals ~file:path m
-      in
-      (* Per-module source lints.  W007 ("never called from its
-         section") is suppressed for exported functions: their callers
-         live in other modules by design. *)
-      let local =
-        List.filter
-          (fun (d : W2.Diag.t) ->
-            not
-              (d.W2.Diag.d_code = "W007"
-              &&
-              match d.W2.Diag.d_func with
-              | Some f -> W2.Ast.exports_function m f
-              | None -> false))
-          (W2.Lint.lint_module m)
-      in
-      let couplings =
-        Array.to_list s.Analysis.Modan.ms_funcs
-        |> List.map (fun (w : Analysis.Modan.func_summary) ->
-               {
-                 W2.Lint.c_func = w.Analysis.Modan.ws_name;
-                 c_loc = w.Analysis.Modan.ws_loc;
-                 c_greads = w.Analysis.Modan.ws_direct.Analysis.Depan.greads;
-                 c_gwrites = w.Analysis.Modan.ws_direct.Analysis.Depan.gwrites;
-                 c_sends = w.Analysis.Modan.ws_direct.Analysis.Depan.sends;
-                 c_recvs = w.Analysis.Modan.ws_direct.Analysis.Depan.recvs;
-               })
-      in
-      let coupling =
-        W2.Lint.coupling_warnings ~section:s.Analysis.Modan.ms_section
-          ~cells:s.Analysis.Modan.ms_cells
-          ~disjoint:s.Analysis.Modan.ms_disjoint couplings
-      in
-      module_diags := !module_diags @ local @ coupling;
-      summaries := !summaries @ [ s ])
-    order;
-  let link = Analysis.Modan.compose !summaries in
-  (link, W2.Diag.sort (!module_diags @ link.Analysis.Modan.lk_diags))
+  let summaries, module_diags =
+    Analysis.Modan.summarize_project ~sound ~max_tracked ~absint
+      ~absint_max_intervals ~lint:true
+      (List.map
+         (fun (path, _, _) -> (path, fun () -> load_checked path))
+         (project_order (project_heads dir)))
+  in
+  let link = Analysis.Modan.compose summaries in
+  (link, W2.Diag.sort (module_diags @ link.Analysis.Modan.lk_diags))
 
 let analyze_cmd =
   let file =
@@ -475,18 +440,9 @@ let analyze_cmd =
             ~json:(fun () -> Analysis.Modan.to_json link)
             diags
         | None, Some file ->
-          let source = read_file file in
-          let m = W2.Parser.module_of_string ~file source in
-          (match W2.Semcheck.check_module m with
-          | [] -> ()
-          | errors ->
-            List.iter
-              (fun e -> prerr_endline (W2.Semcheck.error_to_string e))
-              errors;
-            exit 1);
           let t =
             Analysis.Depan.analyze ~sound:(not no_sound) ~max_tracked
-              ~absint:(not no_absint) ~absint_max_intervals m
+              ~absint:(not no_absint) ~absint_max_intervals (load_checked file)
           in
           finish
             ~report:(fun () -> Analysis.Depan.report t)

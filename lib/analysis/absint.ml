@@ -260,6 +260,7 @@ let lookup_region map g =
 let read_region s g = lookup_region s.s_reads g
 let write_region s g = lookup_region s.s_writes g
 
+(* Union of read and write regions (already normalized). *)
 let access_region s g =
   region_union ~max_intervals:max_int (read_region s g) (write_region s g)
 
@@ -302,25 +303,6 @@ let cost_units (c : itv) =
   match c.hi with
   | Some hi -> max 1 ((lo + hi + 1) / 2)
   | None -> max 1 (4 * max 1 lo)
-
-let chan_use_to_string c cu =
-  Printf.sprintf "%s(send=%s,recv=%s)" c (itv_to_string cu.cu_send)
-    (itv_to_string cu.cu_recv)
-
-let summary_to_string s =
-  let regions label rs =
-    Printf.sprintf "%s{%s}" label
-      (String.concat ","
-         (List.map (fun (g, r) -> g ^ ":" ^ region_to_string r) rs))
-  in
-  String.concat " "
-    [
-      regions "reads" s.s_reads;
-      regions "writes" s.s_writes;
-      chan_use_to_string "X" s.s_x;
-      chan_use_to_string "Y" s.s_y;
-      "cost=" ^ itv_to_string s.s_cost;
-    ]
 
 (* --- the abstract executor --- *)
 

@@ -35,7 +35,6 @@ type itv = { lo : int option; hi : int option }
     both bounds are finite, [lo <= hi]. *)
 
 val itv_const : int -> itv
-val itv_top : itv
 val itv_zero : itv
 val itv_join : itv -> itv -> itv
 val itv_widen : itv -> itv -> itv
@@ -87,10 +86,7 @@ type summary = {
       (** abstract statement executions of one call, calls included *)
 }
 
-val read_region : summary -> string -> region
 val write_region : summary -> string -> region
-val access_region : summary -> string -> region
-(** Union of read and write regions (already normalized). *)
 
 val chan_silent : summary -> W2.Ast.channel -> bool
 (** The function provably performs zero operations on the channel:
@@ -118,10 +114,6 @@ val cost_units : itv -> int
 (** A scalar estimate from a cost interval: the midpoint, or [4 × lo]
     when the upper bound is infinite (an unbounded loop still dominates
     a straight line).  Always at least 1. *)
-
-val summary_to_string : summary -> string
-(** One-line canonical rendering — also the stable fingerprint input
-    for effect-summary hashes. *)
 
 (** {1 Analysis} *)
 

@@ -34,8 +34,6 @@ type effects = {
           incomplete (see the [sound] analysis mode) *)
 }
 
-val no_effects : effects
-
 type reason =
   | Inline_of
       (** the target inlines the source, so the source's body is a
@@ -72,8 +70,6 @@ type confidence =
           [Channel_pair], or a blanket [Summary_limit]): the pair may
           be dynamically independent, so a [dag+spec] schedule may
           dispatch past the edge under the commit protocol *)
-
-val edge_confidence : edge -> confidence
 
 val confidence_to_string : confidence -> string
 (** ["proven"] / ["speculative"]. *)

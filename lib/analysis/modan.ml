@@ -43,8 +43,13 @@ type module_summary = {
 
 (* ---------- separate analysis ---------- *)
 
-let summarize ?(deps = []) ?sound ?max_tracked ?(absint = true)
-    ?absint_max_intervals ?(file = "") (m : Ast.modul) =
+(* One module against [index], the name -> [ws_key] table of every
+   provider summarized before it.  With [lint], also the module's
+   source lints: W001-W007, with W007 ("never called from its
+   section") suppressed for exported functions, whose callers live in
+   other modules by design, and W008/W009 from the same analysis. *)
+let summarize_step ~index ~lint ?sound ?max_tracked ~absint
+    ?absint_max_intervals ~file (m : Ast.modul) =
   (match m.Ast.sections with
   | [ _ ] -> ()
   | _ -> invalid_arg "Modan.summarize: expected exactly one section");
@@ -60,11 +65,6 @@ let summarize ?(deps = []) ?sound ?max_tracked ?(absint = true)
   Array.iter
     (fun fi -> Hashtbl.replace local fi.Depan.fi_name ())
     si.Depan.si_funcs;
-  let dep_key = Hashtbl.create 64 in
-  List.iter
-    (fun d ->
-      Array.iter (fun w -> Hashtbl.replace dep_key w.ws_name w.ws_key) d.ms_funcs)
-    deps;
   let src_funcs = Array.of_list sec.Ast.funcs in
   let funcs =
     Array.mapi
@@ -81,7 +81,7 @@ let summarize ?(deps = []) ?sound ?max_tracked ?(absint = true)
                (fi.Depan.fi_hash
                :: List.map
                     (fun x ->
-                      match Hashtbl.find_opt dep_key x with
+                      match Hashtbl.find_opt index x with
                       | Some k -> k
                       | None -> "unresolved:" ^ x)
                     xcalls))
@@ -103,26 +103,71 @@ let summarize ?(deps = []) ?sound ?max_tracked ?(absint = true)
         })
       si.Depan.si_funcs
   in
-  {
-    ms_module = m.Ast.mname;
-    ms_file = file;
-    ms_section = sec.Ast.sname;
-    ms_cells = sec.Ast.cells;
-    ms_imports =
-      List.map
-        (fun (im : Ast.import_decl) ->
-          (im.Ast.im_module, im.Ast.im_loc, im.Ast.im_sigs))
-        m.Ast.imports;
-    ms_exports =
-      List.map
-        (fun (e : Ast.export_decl) -> (e.Ast.ex_name, e.Ast.ex_loc))
-        m.Ast.exports;
-    ms_globals =
-      List.sort compare (List.map (fun (d : Ast.decl) -> d.Ast.dname) sec.Ast.globals);
-    ms_disjoint = si.Depan.si_disjoint;
-    ms_funcs = funcs;
-    ms_edges = Depan.edges_by_name si;
-  }
+  let diags =
+    if not lint then []
+    else
+      List.filter
+        (fun (d : Diag.t) ->
+          not
+            (d.Diag.d_code = "W007"
+            &&
+            match d.Diag.d_func with
+            | Some f -> Ast.exports_function m f
+            | None -> false))
+        (Lint.lint_module m)
+      @ Depan.lint_section si
+  in
+  ( {
+      ms_module = m.Ast.mname;
+      ms_file = file;
+      ms_section = sec.Ast.sname;
+      ms_cells = sec.Ast.cells;
+      ms_imports =
+        List.map
+          (fun (im : Ast.import_decl) ->
+            (im.Ast.im_module, im.Ast.im_loc, im.Ast.im_sigs))
+          m.Ast.imports;
+      ms_exports =
+        List.map
+          (fun (e : Ast.export_decl) -> (e.Ast.ex_name, e.Ast.ex_loc))
+          m.Ast.exports;
+      ms_globals =
+        List.sort compare
+          (List.map (fun (d : Ast.decl) -> d.Ast.dname) sec.Ast.globals);
+      ms_disjoint = si.Depan.si_disjoint;
+      ms_funcs = funcs;
+      ms_edges = Depan.edges_by_name si;
+    },
+    diags )
+
+let index_keys index s =
+  Array.iter (fun w -> Hashtbl.replace index w.ws_name w.ws_key) s.ms_funcs
+
+let summarize ?(deps = []) ?sound ?max_tracked ?(absint = true)
+    ?absint_max_intervals ?(file = "") m =
+  let index = Hashtbl.create 64 in
+  List.iter (index_keys index) deps;
+  fst
+    (summarize_step ~index ~lint:false ?sound ?max_tracked ~absint
+       ?absint_max_intervals ~file m)
+
+(* The index grows by one module per step, so the whole fold costs
+   the sum of the per-module analyses. *)
+let summarize_project ?sound ?max_tracked ?(absint = true)
+    ?absint_max_intervals ?(lint = false) sources =
+  let index = Hashtbl.create 1024 in
+  let summaries, diags =
+    List.fold_left
+      (fun (summaries, diags) (file, load) ->
+        let s, d =
+          summarize_step ~index ~lint ?sound ?max_tracked ~absint
+            ?absint_max_intervals ~file (load ())
+        in
+        index_keys index s;
+        (s :: summaries, List.rev_append d diags))
+      ([], []) sources
+  in
+  (List.rev summaries, List.rev diags)
 
 (* ---------- the warpcc-wsi/1 artifact ---------- *)
 
@@ -1230,6 +1275,9 @@ let json_strings l =
   "[" ^ String.concat ", " (List.map (fun s -> spf "\"%s\"" (json_escape s)) l) ^ "]"
 
 let to_json link =
+  let n_modules = List.length link.lk_modules
+  and n_edges = List.length link.lk_edges
+  and n_diags = List.length link.lk_diags in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n  \"schema\": \"warpcc-analyze/3\",\n  \"kind\": \"project\",\n";
@@ -1260,7 +1308,7 @@ let to_json link =
                   (json_escape f) (json_escape t)
                   (json_strings (List.map Depan.reason_to_string rs)))
               m.ms_edges))
-        (if i = List.length link.lk_modules - 1 then "" else ","))
+        (if i = n_modules - 1 then "" else ","))
     link.lk_modules;
   add "  ],\n";
   add "  \"order\": %s,\n" (json_strings link.lk_order);
@@ -1280,7 +1328,7 @@ let to_json link =
         (json_escape e.x_to) (json_escape e.x_to_module)
         (Depan.confidence_to_string (xedge_confidence e))
         (json_strings (List.map xreason_to_string e.x_reasons))
-        (if i = List.length link.lk_edges - 1 then "" else ","))
+        (if i = n_edges - 1 then "" else ","))
     link.lk_edges;
   add "  ],\n";
   add "  \"levels\": [%s],\n"
@@ -1301,7 +1349,7 @@ let to_json link =
         | Some f -> spf "\"%s\"" (json_escape f)
         | None -> "null")
         (json_escape d.Diag.d_message)
-        (if i = List.length link.lk_diags - 1 then "" else ","))
+        (if i = n_diags - 1 then "" else ","))
     link.lk_diags;
   add "  ]\n}\n";
   Buffer.contents buf

@@ -95,16 +95,34 @@ val summarize :
 (** Separately analyze one semantically checked, single-section module.
     Only [deps] — provider summaries, for resolving [ws_key] ancestry —
     cross the module boundary; sources of other modules are never
-    consulted.  The analysis knobs are {!Depan.analyze}'s.
+    consulted.  The analysis knobs are {!Depan.analyze}'s.  This is one
+    step of {!summarize_project}, over an index built from [deps].
     @raise Invalid_argument unless the module has exactly one
     section. *)
+
+val summarize_project :
+  ?sound:bool ->
+  ?max_tracked:int ->
+  ?absint:bool ->
+  ?absint_max_intervals:int ->
+  ?lint:bool ->
+  (string * (unit -> W2.Ast.modul)) list ->
+  module_summary list * W2.Diag.t list
+(** The project driver: {!summarize} every module in the given
+    dependence order, each against all the summaries before it, from
+    one name → [ws_key] index that grows by one module per step.  A
+    source is its file path (recorded as [ms_file]) and a loader that
+    returns the semantically checked module; it is called once, when
+    its turn comes, so only one module AST is live at a time.
+
+    With [lint] (default [false]) the second result holds each
+    module's source lints in module order: W001-W009 as for one file,
+    except W007, which is dropped for exported functions (their
+    callers live in other modules).  Without [lint] it is [[]]. *)
 
 (** {1 The summary artifact} *)
 
 exception Artifact_error of string
-
-val artifact_schema : string
-(** ["warpcc-wsi/1"]. *)
 
 val to_artifact : module_summary -> string
 (** Versioned, line-oriented text rendering — the [.wsi] file a

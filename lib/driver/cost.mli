@@ -66,16 +66,12 @@ val task_phase23_seconds : model -> Compile.func_work list -> float
     compiler's scheduler ranks (LPT) and batches by, and a term of the
     supervision deadline. *)
 
-val static_phase23_seconds : model -> Compile.func_work -> float
-(** Static stand-in for {!phase23_seconds}: prices the abstract
-    interpretation's statement-execution bound ([fw_static_units]) as
-    optimizer work units, so the scheduler can rank tasks before any
-    function has been compiled.  Falls back to {!phase23_seconds} when
-    the bound is missing. *)
-
 val static_task_seconds : model -> Compile.func_work list -> float
-(** Sum of {!static_phase23_seconds} over a task's functions — the
-    [--static-cost] scheduling signal. *)
+(** Sum of each function's static phases-2+3 estimate over a task's
+    functions — the [--static-cost] scheduling signal: the abstract
+    interpretation's statement-execution bound ([fw_static_units])
+    priced as optimizer work units, or {!phase23_seconds} when the
+    bound is missing. *)
 
 val phase4_seconds : model -> Compile.module_work -> float
 (** Assembly, linking, I/O drivers. *)

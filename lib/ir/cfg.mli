@@ -16,16 +16,10 @@ val remove_unreachable : Ir.func -> int
 (** Drop unreachable blocks and renumber; returns how many were
     removed. *)
 
-val thread_jumps : Ir.func -> int
-(** Bypass empty forwarding blocks; returns rewritten edge count. *)
-
-val merge_straightline : Ir.func -> int
-(** Merge blocks into unique jumping predecessors; returns merge
-    count. *)
-
 val simplify : Ir.func -> int
-(** {!thread_jumps} + {!remove_unreachable} + {!merge_straightline};
-    the normalization run between optimization passes. *)
+(** Jump threading, {!remove_unreachable}, then merging blocks into
+    unique jumping predecessors; the normalization run between
+    optimization passes. *)
 
 val reverse_postorder : Ir.func -> int list
 (** Reverse postorder of the reachable blocks, entry first. *)

@@ -5,7 +5,5 @@
     fault).  The payoff is downstream: loop bodies that become single
     blocks are candidates for software pipelining. *)
 
-val max_arm_instrs : int
-
 val run : Ir.func -> int
 (** Convert to a fixpoint; returns the number of conversions. *)

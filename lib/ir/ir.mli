@@ -95,9 +95,7 @@ val may_trap : instr -> bool
 (** Instructions that can fault at runtime (division by a possibly-zero
     operand, square root) and therefore must not be speculated. *)
 
-val cmp_to_string : cmp -> string
 val binop_to_string : binop -> string
-val unop_to_string : unop -> string
 val operand_to_string : operand -> string
 val instr_to_string : instr -> string
 val term_to_string : term -> string

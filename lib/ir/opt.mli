@@ -31,9 +31,6 @@ type stats = {
           simulated seconds *)
 }
 
-val empty_stats : unit -> stats
-val total_changes : stats -> int
-
 val optimize : ?level:int -> ?verify_each:bool -> Ir.func -> stats
 (** Optimize in place.  With [~verify_each:true], {!Irverify.check_func}
     runs on the input and again after every pass.
@@ -41,5 +38,3 @@ val optimize : ?level:int -> ?verify_each:bool -> Ir.func -> stats
 
 val optimize_section :
   ?level:int -> ?verify_each:bool -> Ir.section -> stats list
-
-val stats_to_string : stats -> string

@@ -63,12 +63,10 @@ type t = {
   mutable now : float;
   mutable seq : int;
   queue : Pq.t;
-  mutable events_processed : int;
 }
 
-let create () = { now = 0.0; seq = 0; queue = Pq.create (); events_processed = 0 }
+let create () = { now = 0.0; seq = 0; queue = Pq.create () }
 let now sim = sim.now
-let events_processed sim = sim.events_processed
 
 let schedule sim ~at action =
   if at < sim.now then invalid_arg "Des.schedule: time in the past";
@@ -128,7 +126,6 @@ let run ?until sim : float =
       if e.time > horizon then sim.now <- horizon
       else begin
         sim.now <- e.time;
-        sim.events_processed <- sim.events_processed + 1;
         e.action ();
         loop ()
       end

@@ -37,9 +37,6 @@ type plan = { events : event list }
 val none : plan
 val is_none : plan -> bool
 
-val crash_count : plan -> int
-(** Number of stations the plan permanently removes (crash + reclaim). *)
-
 (** {1 Failure outcome}
 
     Crashes surface as a value — never as an OCaml exception escaping
@@ -76,5 +73,4 @@ val random :
     plan at a lower rate, so elapsed-time inflation can be studied
     monotonically.  [rate = 0.0] yields {!none}. *)
 
-val event_to_string : event -> string
 val describe : plan -> string list

@@ -46,6 +46,7 @@ let resource capacity =
     served = 0;
   }
 
+(* Take a slot, blocking FCFS while all slots are busy. *)
 let acquire sim (r : resource) =
   if r.in_use < r.capacity then r.in_use <- r.in_use + 1
   else begin

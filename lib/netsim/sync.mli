@@ -32,9 +32,6 @@ type resource = {
 val resource : int -> resource
 (** @raise Invalid_argument when the capacity is not positive. *)
 
-val acquire : Des.t -> resource -> unit
-(** Take a slot, blocking FCFS while all slots are busy. *)
-
 val release : resource -> unit
 (** Free a slot (handing it directly to the oldest waiter, if any). *)
 

@@ -888,17 +888,13 @@ let link_compose_sizes = [ 100; 200; 400 ]
 let link_sched_sizes = [ 24; 48 ]
 let link_pool = 8
 
-(* Summarize each module separately (providers accumulate as [deps]
-   for the cross-module content keys), then force every summary
+(* Summarize each module separately (the project driver keys each
+   against the providers before it), then force every summary
    through the .wsi artifact: composition must see exactly what a
    separate build persists, nothing more. *)
 let link_summaries (mods : W2.Ast.modul list) : Analysis.Modan.module_summary list =
-  List.rev
-    (List.fold_left
-       (fun acc m ->
-         let s = Analysis.Modan.summarize ~deps:acc m in
-         Analysis.Modan.of_artifact (Analysis.Modan.to_artifact s) :: acc)
-       [] mods)
+  fst (Analysis.Modan.summarize_project (List.map (fun m -> ("", fun () -> m)) mods))
+  |> List.map (fun s -> Analysis.Modan.of_artifact (Analysis.Modan.to_artifact s))
 
 let link_cross_edges (link : Analysis.Modan.link) =
   List.length

@@ -314,8 +314,8 @@ type link_sched_point = {
 
 val link_summaries :
   W2.Ast.modul list -> Analysis.Modan.module_summary list
-(** Separately summarize each module (accumulating provider summaries
-    for the cross-module content keys) and round-trip every summary
+(** Separately summarize each module with the project driver
+    ({!Analysis.Modan.summarize_project}) and round-trip every summary
     through the [.wsi] artifact, so composition sees exactly what a
     separate build persists. *)
 

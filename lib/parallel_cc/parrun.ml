@@ -735,13 +735,28 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) :
     Trace.enabled tr && Trace.span_count tr = 0 && Trace.instant_count tr = 0
   in
   let cluster = Config.cluster cfg in
-  let finish = ref 0.0 in
+  let finish = ref None in
   let stats = Timings.fresh_stats () in
   Netsim.Des.spawn sim
     (master_process cfg sim cluster ~noise:(Config.noise cfg) ~salt:0 mw plan ~stats
-       ~on_finish:(fun t -> finish := t));
+       ~on_finish:(fun t -> finish := Some t));
   ignore (Netsim.Des.run sim);
-  let run = Timings.of_stats stats cluster ~elapsed:!finish in
+  let elapsed =
+    match !finish with
+    | Some t -> t
+    | None ->
+      (* The event queue drained with the master still waiting: some
+         task awaits a completion that can never come. *)
+      let placed = List.map fst stats.Timings.placements in
+      let waiting =
+        (scheduled cfg plan).Plan.tasks_per_section
+        |> List.concat_map (fun (_, tasks) -> List.filter_map Plan.task_head tasks)
+        |> List.filter (fun h -> not (List.mem h placed))
+      in
+      failwith
+        ("Parrun.run: deadlock, tasks never completed: " ^ String.concat ", " waiting)
+  in
+  let run = Timings.of_stats stats cluster ~elapsed in
   if fresh_trace then begin
     Traceview.assert_matches_run tr run;
     (* Under a DAG policy the schedule promises dependence order; let

@@ -71,4 +71,6 @@ val master_process :
     compile-cache tallies. *)
 
 val run : Config.t -> Driver.Compile.module_work -> Plan.t -> outcome
-(** One parallel compilation on a fresh cluster. *)
+(** One parallel compilation on a fresh cluster.
+    @raise Failure naming the tasks that never completed when the
+    simulation drains before the master finishes (a deadlock). *)

@@ -356,9 +356,28 @@ let task_levels (deps : int list array) : int list list =
    cycles are still merged over the FULL edge set — scheduling past a
    speculative edge whose reverse is proven would otherwise deadlock
    the commit protocol (the attempt awaits a predecessor that gates on
-   the attempt's own completion). *)
+   the attempt's own completion).
+
+   Batching packs tasks of one level together.  Under [Dag_lpt] a
+   level is an antichain of the full edge set: no two of its tasks have
+   a path between them, so the bins stay levelled and cannot close a
+   cycle.  Under [Dag_spec] a level is an antichain of the proven edges
+   only, so one bin can take two tasks joined by a path through a third
+   (0->1 and 1->2 with 0 and 2 binned).  Such a cycle is harmless while
+   nobody on it waits: a task with no [hot_edges] predecessor never
+   aborts, never hardens, and waits on its proven predecessors alone.
+   A cycle of edges some task can wait on ([blocking_deps]) would
+   deadlock, so those are merged again; a plan with none is returned
+   as batching left it. *)
+let blocking_deps ~func_deps ~level_func_deps ~hot_edges ~section tasks =
+  let full = task_deps ~func_deps ~section tasks in
+  let proven = task_deps ~func_deps:level_func_deps ~section tasks in
+  let hot = task_deps ~func_deps:hot_edges ~section tasks in
+  Array.mapi (fun i d -> if hot.(i) = [] then proven.(i) else d) full
+
 let schedule_dag ~lpt ~costf ~threshold ~max_bins ?level_func_deps
-    ~(func_deps : (string * (string * string) list) list) ~section tasks =
+    ?(hot_edges = []) ~(func_deps : (string * (string * string) list) list)
+    ~section tasks =
   let edges =
     match List.assoc_opt section func_deps with Some e -> e | None -> []
   in
@@ -372,12 +391,27 @@ let schedule_dag ~lpt ~costf ~threshold ~max_bins ?level_func_deps
   if not lpt then topo_fcfs deps tasks
   else
     let arr = Array.of_list tasks in
-    task_levels deps
-    |> List.concat_map (fun level ->
-           let level_tasks = List.map (fun i -> arr.(i)) level in
-           order_lpt costf (batch_tiny costf ~threshold ~max_bins level_tasks)
-           |> List.map (fun (t : Plan.task) ->
-                  { t with Plan.t_funcs = order_funcs_by_deps edges t.Plan.t_funcs }))
+    let batched =
+      task_levels deps
+      |> List.concat_map (fun level ->
+             let level_tasks = List.map (fun i -> arr.(i)) level in
+             order_lpt costf (batch_tiny costf ~threshold ~max_bins level_tasks)
+             |> List.map (fun (t : Plan.task) ->
+                    { t with Plan.t_funcs = order_funcs_by_deps edges t.Plan.t_funcs }))
+    in
+    (* Merging can give a task its first hot predecessor, and so new
+       blocking edges: repeat until no blocking cycle is left. *)
+    let rec unblock tasks =
+      let merged =
+        merge_task_cycles edges
+          (blocking_deps ~func_deps ~level_func_deps ~hot_edges ~section tasks)
+          tasks
+      in
+      if List.compare_lengths merged tasks = 0 then tasks else unblock merged
+    in
+    let unblocked = unblock batched in
+    if unblocked == batched then batched
+    else topo_fcfs (task_deps ~func_deps:level_func_deps ~section unblocked) unblocked
 
 let schedule ?(static = false) ~policy ~(cost : Driver.Cost.model) ~threshold
     ~stations (plan : Plan.t) : Plan.t =
@@ -437,7 +471,7 @@ let schedule ?(static = false) ~policy ~(cost : Driver.Cost.model) ~threshold
           (fun (s, tasks) ->
             ( s,
               schedule_dag ~lpt:true ~costf ~threshold ~max_bins
-                ~level_func_deps:proven ~func_deps:plan.Plan.func_deps
-                ~section:s tasks ))
+                ~level_func_deps:proven ~hot_edges:plan.Plan.hot_edges
+                ~func_deps:plan.Plan.func_deps ~section:s tasks ))
           plan.Plan.tasks_per_section;
     }

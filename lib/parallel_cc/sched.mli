@@ -41,10 +41,12 @@ type policy =
       (** [Dag_lpt] with optimistic dispatch past
           {!Analysis.Depan.Speculative} edges: levelling uses only the
           proven edges (task cycles are still merged over the full
-          set), so speculative successors dispatch immediately and
-          {!Parrun} runs them under a staged write-back/commit/abort
-          protocol bounded by {!Config.t.spec_budget}.  Worst case —
-          every speculation aborts — degrades to [Dag_lpt] behaviour. *)
+          set, and merged again after batching wherever a cycle runs
+          through edges a task can wait on), so speculative successors
+          dispatch immediately and {!Parrun} runs them under a staged
+          write-back/commit/abort protocol bounded by
+          {!Config.t.spec_budget}.  Worst case — every speculation
+          aborts — degrades to [Dag_lpt] behaviour. *)
 
 val all : policy list
 (** The classic dispatch policies, in ascending sophistication:

@@ -10,6 +10,7 @@ let mean xs =
   | [] -> invalid_arg "Stats.mean: empty list"
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
+(* Sample variance (n-1 denominator); [0.] for fewer than two samples. *)
 let variance xs =
   match xs with
   | [] | [ _ ] -> 0.0
@@ -58,6 +59,4 @@ let geomean xs =
     let logs = List.fold_left (fun acc x -> acc +. log x) 0.0 xs in
     exp (logs /. float_of_int (List.length xs))
 
-(* Linear interpolation helper for calibration sweeps. *)
-let lerp a b t = a +. ((b -. a) *. t)
 module Table = Table

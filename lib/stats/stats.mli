@@ -9,9 +9,6 @@
 val mean : float list -> float
 (** Arithmetic mean.  @raise Invalid_argument on the empty list. *)
 
-val variance : float list -> float
-(** Sample variance (n-1 denominator); [0.] for fewer than two samples. *)
-
 val stddev : float list -> float
 (** Sample standard deviation. *)
 
@@ -37,9 +34,6 @@ val percent_of : part:float -> total:float -> float
 val geomean : float list -> float
 (** Geometric mean, used to summarise speedups across programs.
     @raise Invalid_argument on the empty list. *)
-
-val lerp : float -> float -> float -> float
-(** [lerp a b t] is the linear interpolation [a + (b - a) * t]. *)
 
 (** ASCII tables and labelled series for the benchmark output. *)
 module Table : sig

@@ -105,11 +105,6 @@ val end_time : t -> float
 
 val used_tracks : t -> int list
 
-val counter_points : t -> (span -> bool) -> (float * int) list
-(** Step function of concurrently open selected spans over time:
-    one [(time, value)] point per change, [-1] edges applying before
-    [+1] at equal times (touching intervals do not overlap). *)
-
 val to_chrome_json :
   ?flows:(int * float * int * float) list -> ?counters:bool -> t -> string
 (** The trace as Chrome trace-event JSON ([chrome://tracing] or

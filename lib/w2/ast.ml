@@ -115,11 +115,6 @@ type modul = {
 let imported_sigs (m : modul) : import_sig list =
   List.concat_map (fun im -> im.im_sigs) m.imports
 
-let imports_function (m : modul) name =
-  List.exists
-    (fun im -> List.exists (fun s -> s.is_name = name) im.im_sigs)
-    m.imports
-
 let exports_function (m : modul) name =
   List.exists (fun e -> e.ex_name = name) m.exports
 
@@ -190,18 +185,6 @@ let rec max_loop_nesting stmts =
    plus the header/footer lines the pretty printer emits.  The generator
    targets this metric when synthesising the f_tiny..f_huge programs. *)
 let func_lines f = 2 + List.length f.locals + stmt_count f.body
-
-let section_lines sec =
-  List.fold_left
-    (fun acc f -> acc + func_lines f)
-    (2 + List.length sec.globals)
-    sec.funcs
-
-let module_lines m =
-  List.fold_left
-    (fun acc s -> acc + section_lines s)
-    (2 + List.length m.imports + List.length m.exports)
-    m.sections
 
 let func_count m =
   List.fold_left (fun acc s -> acc + List.length s.funcs) 0 m.sections

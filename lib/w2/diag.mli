@@ -27,7 +27,6 @@ val compare : t -> t -> int
 (** File order — the order in which section masters merge. *)
 
 val sort : t list -> t list
-val is_error : t -> bool
 val has_errors : t list -> bool
 val count : severity -> t list -> int
 

@@ -45,6 +45,7 @@ let rec is_constant (expr : Ast.expr) =
 
 type usage = { mutable reads : int; mutable writes : int }
 
+(* Per-function checks (W001-W006), emitted through the callback. *)
 let lint_func out (f : Ast.func) =
   let func = f.fname in
   let usage = Hashtbl.create 16 in

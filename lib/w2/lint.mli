@@ -24,9 +24,6 @@
     per-function effects into {!coupling} records and calls
     {!coupling_warnings}. *)
 
-val lint_func : (Diag.t -> unit) -> Ast.func -> unit
-(** Per-function checks (W001-W006), emitted through the callback. *)
-
 val lint_section : (Diag.t -> unit) -> Ast.section -> unit
 (** Per-function checks for every function plus the section-level
     never-called analysis (W007). *)

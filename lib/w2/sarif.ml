@@ -50,6 +50,7 @@ let to_string ?(tool_name = "warpcc") ?(tool_version = "1.0.0") diags =
   let codes =
     List.sort_uniq compare (List.map (fun d -> d.Diag.d_code) diags)
   in
+  let n_codes = List.length codes and n_diags = List.length diags in
   add "{\n";
   add "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n";
   add "  \"version\": \"%s\",\n" version;
@@ -65,7 +66,7 @@ let to_string ?(tool_name = "warpcc") ?(tool_version = "1.0.0") diags =
         "            {\"id\": \"%s\", \"shortDescription\": {\"text\": \"%s\"}}%s\n"
         (escape code)
         (escape (rule_description code))
-        (if i = List.length codes - 1 then "" else ","))
+        (if i = n_codes - 1 then "" else ","))
     codes;
   add "          ]\n        }\n      },\n";
   add "      \"results\": [\n";
@@ -90,7 +91,7 @@ let to_string ?(tool_name = "warpcc") ?(tool_version = "1.0.0") diags =
           (max 1 d.Diag.d_loc.Loc.col);
         add "            }}\n          ]\n"
       end;
-      add "        }%s\n" (if i = List.length diags - 1 then "" else ","))
+      add "        }%s\n" (if i = n_diags - 1 then "" else ","))
     diags;
   add "      ]\n    }\n  ]\n}\n";
   Buffer.contents buf

@@ -25,6 +25,7 @@ type ports = {
   send : W2.Ast.channel -> value -> bool; (* false: would block *)
 }
 
+(* Sends vanish; receives fault. *)
 let closed_ports =
   { recv = (fun _ -> raise (Fault "receive on unconnected channel"));
     send = (fun _ _ -> true) }

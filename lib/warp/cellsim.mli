@@ -20,9 +20,6 @@ type ports = {
   send : W2.Ast.channel -> value -> bool; (** [false]: would block *)
 }
 
-val closed_ports : ports
-(** Sends vanish; receives fault. *)
-
 val script_ports :
   input_x:value list ->
   input_y:value list ->

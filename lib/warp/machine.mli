@@ -20,11 +20,8 @@ val fu_to_string : fu -> string
 val num_regs : int
 (** 64 general registers per window. *)
 
-val num_scratch_regs : int
 val num_allocatable : int
 (** [num_regs - num_scratch_regs]; the allocator's default budget. *)
-
-val scratch_reg : int -> int
 
 val queue_capacity : int
 (** Entries per inter-cell queue. *)

@@ -28,6 +28,7 @@ type result = {
   attempts : int; (* placement trials: phase-3 work units *)
 }
 
+(* Resource-constrained lower bound on II. *)
 let res_mii (ops : Ir.instr array) : int =
   let counts = Hashtbl.create 5 in
   Array.iter

@@ -26,18 +26,6 @@ exception No_schedule of int
     spent); the payload is the work spent trying — it still counts as
     compilation time. *)
 
-val res_mii : Midend.Ir.instr array -> int
-(** Resource-constrained lower bound on II. *)
-
-val self_rec_mii : Ddg.t -> int
-(** Self-edge recurrence lower bound. *)
-
-val feasible_ii : Ddg.t -> ii:int -> bool
-(** Exact recurrence test: no positive cycle under weights
-    delay − II·dist. *)
-
-val max_ii_slack : int
-
 val run : Midend.Ir.instr array -> result
 (** @raise No_schedule as described above. *)
 

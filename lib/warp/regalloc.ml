@@ -21,6 +21,7 @@ type result = {
 
 exception Too_many_params of string
 
+(* The reserved array name spill slots live in. *)
 let spill_array = "$spill"
 
 (* --- live intervals --- *)
@@ -236,6 +237,8 @@ let rename (f : Ir.func) assignment =
       f.Ir.blocks.(bi) <- { Ir.instrs; term })
     f.blocks
 
+(* Structural copy (blocks and register table): allocation mutates its
+   input copy, never the caller's function. *)
 let copy_func (f : Ir.func) =
   {
     f with

@@ -15,13 +15,6 @@ type result = {
 
 exception Too_many_params of string
 
-val spill_array : string
-(** The reserved array name spill slots live in. *)
-
-val copy_func : Midend.Ir.func -> Midend.Ir.func
-(** Structural copy (blocks and register table); allocation mutates its
-    input copy, never the caller's function. *)
-
 val run : ?reg_limit:int -> Midend.Ir.func -> result
 (** Allocate; [reg_limit] defaults to {!Machine.num_allocatable} (low
     values exercise spilling).

@@ -22,15 +22,11 @@ let parse src =
   W2.Semcheck.check_module_exn m;
   m
 
-(* Summarize a project in input order, accumulating provider summaries
-   so cross-module content keys resolve. *)
-let summarize_all mods =
-  List.rev
-    (List.fold_left
-       (fun acc m -> Analysis.Modan.summarize ~deps:acc m :: acc)
-       [] mods)
+(* In-memory modules as project-driver sources. *)
+let sources mods = List.map (fun m -> ("", fun () -> m)) mods
 
-let compose_modules mods = Analysis.Modan.compose (summarize_all mods)
+let summaries mods = fst (Analysis.Modan.summarize_project (sources mods))
+let compose_modules mods = Analysis.Modan.compose (summaries mods)
 
 let diag_codes (link : Analysis.Modan.link) =
   List.map (fun d -> d.W2.Diag.d_code) link.Analysis.Modan.lk_diags
@@ -170,7 +166,7 @@ let test_artifact_roundtrip () =
               Alcotest.(check bool) "absint survives" true
                 (f.Analysis.Modan.ws_absint = f'.Analysis.Modan.ws_absint))
             s.Analysis.Modan.ms_funcs)
-        (summarize_all mods))
+        (summaries mods))
     W2.Gen.all_shapes
 
 let test_artifact_rejects_garbage () =
@@ -188,7 +184,7 @@ let test_compose_from_artifacts () =
     Analysis.Modan.compose
       (List.map
          (fun s -> Analysis.Modan.of_artifact (Analysis.Modan.to_artifact s))
-         (summarize_all mods))
+         (summaries mods))
   in
   Alcotest.(check bool) "same composed DAG" true
     (Analysis.Modan.func_deps direct = Analysis.Modan.func_deps via_artifact);
@@ -215,14 +211,14 @@ let test_key_invalidation () =
     in
     fs.Analysis.Modan.ws_key
   in
-  let before = summarize_all mods in
+  let before = summaries mods in
   let edited =
     List.map
       (fun (m : W2.Ast.modul) ->
         if m.W2.Ast.mname = "m0" then W2.Gen.touch_in m "m0_f0" else m)
       mods
   in
-  let after = summarize_all edited in
+  let after = summaries edited in
   (* the edited provider *)
   Alcotest.(check bool) "provider key changes" false
     (key_of before "m0" "m0_f0" = key_of after "m0" "m0_f0");
@@ -476,6 +472,102 @@ let test_outputs_render () =
   Alcotest.(check bool) "kind project" true
     (contains "\"kind\": \"project\"" json)
 
+(* --- the project driver against the earlier loops (Ref_modan) --- *)
+
+(* Every shape, 2-200 modules, random seeds and analysis knobs: the
+   driver's summaries equal the reference CLI loop's in every field
+   (keys and absint boundaries included), its lints sorted with the
+   link's equal the reference's, the composed JSON is the same string,
+   and [Experiment.link_summaries] equals the reference [.wsi] fold. *)
+let prop_driver_matches_reference =
+  QCheck.Test.make ~name:"driver = reference loops" ~count:20
+    QCheck.(
+      quad (int_range 0 (List.length W2.Gen.all_shapes - 1)) (int_range 2 200)
+        (int_range 1 10_000) (pair bool bool))
+    (fun (si, n, seed, (sound, absint)) ->
+      let shape = List.nth W2.Gen.all_shapes si in
+      let mods = W2.Gen.project_program ~modules:n ~seed ~shape () in
+      let max_tracked = if seed mod 2 = 0 then 64 else 3 in
+      let absint_max_intervals = Analysis.Absint.default_max_intervals in
+      let files = List.map (fun (m : W2.Ast.modul) -> m.W2.Ast.mname ^ ".w2") mods in
+      let got, got_diags =
+        Analysis.Modan.summarize_project ~sound ~max_tracked ~absint
+          ~absint_max_intervals ~lint:true
+          (List.map2 (fun f m -> (f, fun () -> m)) files mods)
+      in
+      let link = Analysis.Modan.compose got in
+      let want, want_link, want_diags =
+        Ref_modan.analyze ~sound ~max_tracked ~absint ~absint_max_intervals
+          (List.combine files mods)
+      in
+      compare got want = 0
+      && W2.Diag.sort (got_diags @ link.Analysis.Modan.lk_diags) = want_diags
+      && Analysis.Modan.to_json link = Analysis.Modan.to_json want_link
+      && compare (Experiment.link_summaries mods) (Ref_modan.link_summaries mods) = 0)
+
+(* Module-local lints on a project that has some: W001, W008, and W007
+   for the uncalled internal function but not for the exported one. *)
+let lint_src =
+  {|module prov
+  export pf;
+  section sp cells 1
+  var g : float;
+  function entry(n: int) : float
+    var unused : int;
+  begin
+    g := float(n);
+    return 1.0;
+  end
+  function pf(x: float) : float
+  begin
+    return g + x;
+  end
+  function orphan(x: int) : int
+  begin
+    return x;
+  end
+  end
+end
+|}
+
+let test_driver_lints () =
+  let mods = [ parse lint_src; parse cons_src ] in
+  let files = [ "prov.w2"; "cons.w2" ] in
+  let got, diags =
+    Analysis.Modan.summarize_project ~lint:true
+      (List.map2 (fun f m -> (f, fun () -> m)) files mods)
+  in
+  let link = Analysis.Modan.compose got in
+  let _, _, want =
+    Ref_modan.analyze ~sound:true ~max_tracked:64 ~absint:true
+      ~absint_max_intervals:Analysis.Absint.default_max_intervals
+      (List.combine files mods)
+  in
+  let all = W2.Diag.sort (diags @ link.Analysis.Modan.lk_diags) in
+  Alcotest.(check bool) "same diagnostics as the reference" true (all = want);
+  let blamed code =
+    List.filter_map
+      (fun d -> if d.W2.Diag.d_code = code then d.W2.Diag.d_func else None)
+      all
+  in
+  Alcotest.(check (list string)) "W001" [ "entry" ] (blamed "W001");
+  Alcotest.(check (list string)) "W007 spares the export" [ "orphan" ] (blamed "W007");
+  Alcotest.(check bool) "W008" true (List.mem "W008" (List.map (fun d -> d.W2.Diag.d_code) all))
+
+(* Without [lint] the driver reports nothing, and [summarize ~deps] is
+   the driver's step over an index of [deps]. *)
+let test_driver_single_steps () =
+  let mods = W2.Gen.project_program ~modules:12 ~seed:4 ~shape:W2.Gen.Clustered () in
+  let got, diags = Analysis.Modan.summarize_project (sources mods) in
+  Alcotest.(check int) "no lints unless asked" 0 (List.length diags);
+  let stepped =
+    List.rev
+      (List.fold_left
+         (fun acc m -> Analysis.Modan.summarize ~deps:(List.rev acc) m :: acc)
+         [] mods)
+  in
+  Alcotest.(check bool) "summarize ~deps agrees" true (compare got stepped = 0)
+
 let suites =
   [
     ( "modan.frontend",
@@ -508,6 +600,12 @@ let suites =
         Alcotest.test_case "generated projects lint" `Quick
           test_generated_projects_lint;
         QCheck_alcotest.to_alcotest prop_composed_superset;
+      ] );
+    ( "analysis.modan.driver",
+      [
+        Alcotest.test_case "single steps" `Quick test_driver_single_steps;
+        Alcotest.test_case "module lints" `Quick test_driver_lints;
+        QCheck_alcotest.to_alcotest prop_driver_matches_reference;
       ] );
     ( "modan.sched",
       [

@@ -355,6 +355,155 @@ let test_random_chaos_batched () =
         (completed_heads o))
     [ 0; 2 ]
 
+(* --- the scheduled task graph stays acyclic and every task completes --- *)
+
+let acyclic deps =
+  let n = Array.length deps in
+  let indeg = Array.map List.length deps in
+  let succs = Array.make n [] in
+  Array.iteri (fun j ds -> List.iter (fun i -> succs.(i) <- j :: succs.(i)) ds) deps;
+  let rec drain seen = function
+    | [] -> seen = n
+    | i :: rest ->
+      let ready =
+        List.filter
+          (fun j ->
+            indeg.(j) <- indeg.(j) - 1;
+            indeg.(j) = 0)
+          succs.(i)
+      in
+      drain (seen + 1) (ready @ rest)
+  in
+  drain 0 (List.filter (fun i -> indeg.(i) = 0) (List.init n Fun.id))
+
+(* A random plan over a real program: one task per function or a
+   grouped packing, and per section either the analyzer's edges or a
+   random DAG over a shuffled function order, with random speculative
+   and hot subsets. *)
+let random_plan mw ~seed =
+  let rng = Random.State.make [| seed |] in
+  let base =
+    match Random.State.int rng 3 with
+    | 0 -> Plan.one_per_station mw
+    | k -> Plan.grouped mw ~processors:(2 * k)
+  in
+  if seed mod 3 = 0 then base
+  else
+    let pick p = List.filter (fun _ -> Random.State.float rng 1.0 < p) in
+    let func_deps =
+      List.map
+        (fun (s, tasks) ->
+          let names =
+            List.concat_map
+              (fun (t : Plan.task) ->
+                List.map (fun fw -> fw.Driver.Compile.fw_name) t.Plan.t_funcs)
+              tasks
+            |> List.map (fun f -> (Random.State.bits rng, f))
+            |> List.sort compare |> List.map snd
+          in
+          let rec pairs = function
+            | [] -> []
+            | a :: rest -> List.map (fun b -> (a, b)) rest @ pairs rest
+          in
+          (s, pick 0.3 (pairs names)))
+        base.Plan.tasks_per_section
+    in
+    let spec_edges = List.map (fun (s, e) -> (s, pick 0.6 e)) func_deps in
+    let hot_edges = List.map (fun (s, e) -> (s, pick 0.5 e)) spec_edges in
+    { base with Plan.func_deps; spec_edges; hot_edges }
+
+let scheduled (cfg : Config.t) plan =
+  Sched.schedule ~policy:(Config.effective_policy cfg) ~cost:cfg.Config.cost
+    ~threshold:cfg.Config.batch_threshold ~stations:cfg.Config.stations plan
+
+let task_heads (plan : Plan.t) =
+  List.concat_map
+    (fun (_, tasks) -> List.filter_map Plan.task_head tasks)
+    plan.Plan.tasks_per_section
+  |> List.sort compare
+
+(* The task-level edges a task can wait on.  Under dag and dag+lpt
+   every edge gates dispatch.  Under dag+spec a task waits on its
+   proven predecessors, on a pending hot predecessor, and, once
+   hardened (which only an abort on a hot edge causes), on every
+   speculative one; a cycle of cold speculative edges never blocks. *)
+let wait_graph ~policy (plan : Plan.t) ~section tasks =
+  let deps func_deps = Sched.task_deps ~func_deps ~section tasks in
+  let full = deps plan.Plan.func_deps in
+  if policy <> Sched.Dag_spec then full
+  else
+    let proven = deps (Plan.proven_deps plan) and hot = deps plan.Plan.hot_edges in
+    Array.mapi (fun i d -> if hot.(i) = [] then proven.(i) else d) full
+
+(* Every policy at every pool of 2-8 stations, coarse or fine grain,
+   on a random plan: under a DAG-gated policy the scheduled wait graph
+   is acyclic, and under every policy the run completes every task. *)
+let prop_scheduled_acyclic_and_complete =
+  QCheck.Test.make ~count:100 ~name:"scheduled DAG acyclic, every task completes"
+    QCheck.(triple (int_range 0 2) bool (int_range 1 10_000))
+    (fun (prog, fine, seed) ->
+      let mw =
+        match prog with
+        | 0 -> tiny 8
+        | 1 -> small 6
+        | _ ->
+          Experiment.spec_program_work ~absint:true ~name:"racy3" (fun () ->
+              W2.Gen.racy_program ~scatters:3 ())
+      in
+      let plan = random_plan mw ~seed in
+      List.for_all
+        (fun policy ->
+          List.for_all
+            (fun pool ->
+              let cfg =
+                {
+                  Config.default with
+                  Config.stations = pool + 1;
+                  noise_seed = seed;
+                  fine_grained = fine;
+                  sched_policy = policy;
+                }
+              in
+              let scheduled = scheduled cfg plan in
+              ((not (Sched.dag_gated policy))
+              || List.for_all
+                   (fun (section, tasks) ->
+                     acyclic (wait_graph ~policy scheduled ~section tasks))
+                   scheduled.Plan.tasks_per_section)
+              && task_heads scheduled = completed_heads (Parrun.run cfg mw plan))
+            [ 2; 3; 4; 5; 6; 7; 8 ])
+        Sched.all_policies)
+
+(* The configuration that used to deadlock: racy3 under dag+spec at
+   every pool, where batching packed scatter_0 with scatter_2. *)
+let test_racy_spec_every_pool () =
+  let mw =
+    Experiment.spec_program_work ~absint:true ~name:"racy3" (fun () ->
+        W2.Gen.racy_program ~scatters:3 ())
+  in
+  List.iter
+    (fun pool ->
+      List.iter
+        (fun fine ->
+          let cfg =
+            {
+              Config.default with
+              Config.stations = pool + 1;
+              fine_grained = fine;
+              sched_policy = Sched.Dag_spec;
+            }
+          in
+          let plan = Plan.one_per_station mw in
+          let o = Parrun.run cfg mw plan in
+          Alcotest.(check (list string))
+            (Printf.sprintf "pool %d%s: every task completes" pool
+               (if fine then " fine" else ""))
+            (task_heads (scheduled cfg plan))
+            (completed_heads o);
+          Alcotest.(check bool) "elapsed > 0" true (o.Parrun.run.Timings.elapsed > 0.0))
+        [ false; true ])
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
 let suites =
   [
     ( "sched.pure",
@@ -370,6 +519,12 @@ let suites =
           test_batching_merges_tiny;
         Alcotest.test_case "batching keeps sections" `Quick
           test_batching_keeps_sections;
+      ] );
+    ( "sched.acyclic",
+      [
+        Alcotest.test_case "racy3 dag+spec at every pool" `Quick
+          test_racy_spec_every_pool;
+        QCheck_alcotest.to_alcotest prop_scheduled_acyclic_and_complete;
       ] );
     ( "sched.timings",
       [
